@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "itc/fig1.h"
+#include "netlist/compact.h"
 #include "wordrec/assignment.h"
 #include "wordrec/baseline.h"
 #include "wordrec/control.h"
@@ -104,9 +105,10 @@ int main() {
   std::printf("  (paper: U201 U221; U223 dominated)\n");
 
   // --- §2.5 assignments ------------------------------------------------------
+  const netlist::CompactView view = netlist::CompactView::build(nl);
   const auto try_assignment = [&](netlist::NetId signal, bool value) {
     const std::pair<netlist::NetId, bool> seeds[] = {{signal, value}};
-    const wordrec::PropagationResult prop = wordrec::propagate(nl, seeds);
+    const wordrec::PropagationResult prop = wordrec::propagate(view, seeds);
     const bool unified =
         prop.feasible && bits_fully_similar(hasher, fig.word_bits, &prop.map);
     std::printf("[Ours] assign %s = %d: feasible=%s, dissimilar left=%zu, "

@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", nl.net(signal).name.c_str());
 
   std::printf("\nunified words:\n");
+  const auto view = session.compact(design);  // cached by identify
   for (const wordrec::UnifiedWord& word : result.unified) {
     std::printf("  %zu bits:", word.bits.size());
     for (netlist::NetId bit : word.bits)
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
 
     // Materialize the reduced circuit for this assignment — the §2.1
     // hand-off artifact for downstream tools.
-    const auto propagated = wordrec::propagate(nl, word.assignment);
+    const auto propagated = wordrec::propagate(*view, word.assignment);
     const netlist::Netlist reduced =
         wordrec::materialize_reduction(nl, propagated.map, options);
     std::printf("\n    reduced netlist: %zu -> %zu gates (%zu nets assigned)\n",

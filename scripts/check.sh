@@ -16,8 +16,10 @@
 #   7. jobs-determinism gate: `evaluate --json` at --jobs 1 vs --jobs $(nproc)
 #      must emit byte-identical output on every family benchmark
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
-#      under a hard time budget, and require byte-identical output between
-#      the compact core, --legacy-core, and --jobs 8
+#      under a hard time budget, require its SHA-256 to equal the checked-in
+#      digest (scripts/golden/identify_b19s.sha256), and require
+#      byte-identical output between the compact core, --legacy-core, and
+#      --jobs 8
 #   9. batch smoke gate: `netrev batch` over the family benchmarks twice must
 #      emit byte-identical JSON at different job counts, and a batch with
 #      repeated entries must report artifact-cache hits under --profile
@@ -120,16 +122,25 @@ done
 
 # Giant-family smoke gate: the data-oriented core at scale.  Generate the
 # smallest giant profile (b19s, ~262K gates), identify it under a hard time
-# budget, and require the compact core's output to be byte-identical to the
-# legacy pointer core and to itself at --jobs 8.  Sanitized debug builds run
-# several times slower than release, hence the generous budget; a hang or a
-# byte diff is what this gate exists to catch.
+# budget, and require the compact core's output to match the checked-in
+# digest and to be byte-identical to the legacy pointer core and to itself
+# at --jobs 8.  Both cores share one constant-propagation kernel, so the
+# compact-vs-legacy diff cannot see a change in the reduction trials; the
+# digest, recorded before that kernel moved onto CompactView, can.
+# Sanitized debug builds run several times slower than release, hence the
+# generous budget; a hang or a byte diff is what this gate exists to catch.
 GIANT_DIR="$BUILD_DIR/giant-smoke"
 mkdir -p "$GIANT_DIR"
 echo "giant-smoke: generate b19s"
 timeout 300 "$NETREV" generate b19s -o "$GIANT_DIR" > /dev/null
 echo "giant-smoke: identify (compact core)"
 timeout 1800 "$NETREV" identify b19s --json > "$GIANT_DIR/compact.json"
+echo "giant-smoke: digest"
+if [ "$(sha256sum < "$GIANT_DIR/compact.json" | cut -d' ' -f1)" != \
+     "$(cat scripts/golden/identify_b19s.sha256)" ]; then
+  echo "giant-smoke: identify b19s digest differs from the golden record"
+  exit 1
+fi
 echo "giant-smoke: identify (--legacy-core)"
 timeout 1800 "$NETREV" identify b19s --json --legacy-core \
   > "$GIANT_DIR/legacy.json"

@@ -353,7 +353,8 @@ int cmd_reduce(const ParsedFlags& flags, std::ostream& out) {
     if (!net) throw std::runtime_error("no such net: " + name);
     seeds.emplace_back(*net, value);
   }
-  const auto propagated = wordrec::propagate(nl, seeds);
+  const auto propagated =
+      wordrec::propagate(*flags.session->compact(design), seeds);
   if (!propagated.feasible) {
     out << "assignment is infeasible (conflicting implications)\n";
     return exit_code(ExitCode::kError);

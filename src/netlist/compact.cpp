@@ -198,4 +198,9 @@ bool CompactView::in_fanin_cone(std::uint32_t root, std::uint32_t candidate,
   return false;
 }
 
+ConeScratch& thread_cone_scratch() {
+  static thread_local ConeScratch scratch;
+  return scratch;
+}
+
 }  // namespace netrev::netlist

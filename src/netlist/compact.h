@@ -71,6 +71,13 @@ class ConeScratch {
   std::vector<std::uint32_t> worklist_;
 };
 
+// The calling thread's scratch.  Every CSR walk of the pipeline draws from
+// it — control-signal search runs both serially inside a group worker and
+// fanned out over the pool — so each thread holds one stamp array, grown
+// once, instead of allocating and clearing a fresh one per walk.  Walks
+// never nest, so sharing is safe.
+ConeScratch& thread_cone_scratch();
+
 class CompactView {
  public:
   static constexpr std::uint32_t kNoGate = 0xFFFFFFFFu;

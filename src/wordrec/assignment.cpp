@@ -1,216 +1,207 @@
 #include "wordrec/assignment.h"
 
-#include <deque>
-
 #include "common/contracts.h"
+#include "common/resource_guard.h"
 
 namespace netrev::wordrec {
 
-using netlist::Gate;
-using netlist::GateId;
+using netlist::CompactView;
 using netlist::GateType;
 using netlist::NetId;
-using netlist::Netlist;
 
-namespace {
-
-// Worklist-driven implication engine.
-class Propagator {
+// Worklist-driven implication engine over CSR arrays.  The map's assigned
+// list is the FIFO: every net is queued exactly once, when it is first
+// assigned, so a head index into that list replaces a separate queue.
+class ClosureKernel {
  public:
-  Propagator(const Netlist& nl, bool backward) : nl_(&nl), backward_(backward) {}
+  ClosureKernel(const CompactView& view, AssignmentMap& map,
+                const exec::Checkpoint* checkpoint)
+      : view_(view),
+        assigned_(map.assigned_),
+        checkpoint_(checkpoint != nullptr && checkpoint->armed() ? checkpoint
+                                                                 : nullptr) {
+    // Reset here, not at the end of a closure: a closure aborted by a
+    // conflict or a cancellation still leaves nothing stale behind.
+    map.clear();
+    if (map.values_.size() < view.net_count())
+      map.values_.resize(view.net_count(), kUnknown);
+    values_ = map.values_.data();  // fixed size for the whole closure
+  }
 
-  PropagationResult run(std::span<const std::pair<NetId, bool>> seeds) {
+  bool run(std::span<const std::pair<NetId, bool>> seeds) {
     for (const auto& [net, value] : seeds) {
-      if (!enqueue(net, value)) return fail();
+      NETREV_REQUIRE(net.value() < view_.net_count());
+      if (!enqueue(net.value(), value)) return false;
     }
-    while (!queue_.empty()) {
-      const NetId net = queue_.front();
-      queue_.pop_front();
-      if (!process(net)) return fail();
-    }
-    PropagationResult result;
-    result.map = std::move(map_);
-    result.feasible = true;
-    return result;
+    for (std::size_t head = 0; head < assigned_.size(); ++head)
+      if (!process(assigned_[head].value())) return false;
+    return true;
   }
 
  private:
-  PropagationResult fail() {
-    PropagationResult result;
-    result.map = std::move(map_);
-    result.feasible = false;
-    return result;
+  static constexpr std::uint8_t kZero = AssignmentMap::kZero;
+  static constexpr std::uint8_t kOne = AssignmentMap::kOne;
+  static constexpr std::uint8_t kUnknown = AssignmentMap::kUnknown;
+
+  // controlling_value() / controlled_output() of the four gate types that
+  // have one, inlined for the hot loop.
+  static std::uint8_t controlling(GateType type) {
+    return (type == GateType::kOr || type == GateType::kNor) ? kOne : kZero;
+  }
+  static bool controlled_out(GateType type) {
+    return type == GateType::kNand || type == GateType::kOr;
   }
 
-  // Record value; push to worklist when new.  False on conflict.
-  bool enqueue(NetId net, bool value) {
-    const auto existing = map_.value(net);
-    if (existing.has_value()) return *existing == value;
-    map_.assign(net, value);
-    queue_.push_back(net);
+  // Record value; queue the net when new.  False on conflict.
+  bool enqueue(std::uint32_t net, bool value) {
+    const std::uint8_t encoded = AssignmentMap::encode(value);
+    std::uint8_t& slot = values_[net];
+    if (slot != kUnknown) return slot == encoded;
+    slot = encoded;
+    assigned_.push_back(NetId(net));
+    if (checkpoint_ != nullptr &&
+        (assigned_.size() & (WorkBudget::kPollStride - 1)) == 0)
+      checkpoint_->poll();
     return true;
   }
 
-  bool process(NetId net) {
+  bool process(std::uint32_t net) {
     // Forward: the net is an input of its fanout gates.  A newly-known input
     // can also complete a backward "sole unknown input" implication on a
     // gate whose output was already assigned.
-    for (GateId g : nl_->net(net).fanouts) {
-      if (!imply_forward(g)) return false;
-      if (backward_ && !imply_backward(g)) return false;
-    }
-    // The net's own driver may now be further constrained (backward), and a
-    // newly assigned output may determine remaining inputs.
-    if (backward_) {
-      if (const auto drv = nl_->driver_of(net))
-        if (!imply_backward(*drv)) return false;
-    }
-    // Forward again on the driver: output assignments can conflict with an
-    // already fully-determined gate.
-    if (const auto drv = nl_->driver_of(net))
-      if (!imply_forward(*drv)) return false;
-    return true;
+    for (std::uint32_t g : view_.fanout(net))
+      if (!imply_forward(g) || !imply_backward(g)) return false;
+    // The net's own driver may now be further constrained (backward), then
+    // forward again: an output assignment can conflict with an already
+    // fully-determined gate.
+    const std::uint32_t driver = view_.driver(net);
+    if (driver == CompactView::kNoGate) return true;
+    return imply_backward(driver) && imply_forward(driver);
   }
 
   // Derive the gate's output from its inputs where possible, and check
   // consistency with an already-assigned output.
-  bool imply_forward(GateId g) {
-    const Gate& gate = nl_->gate(g);
-    if (gate.type == GateType::kDff) return true;  // sequential boundary
-
-    std::optional<bool> derived;
-    switch (gate.type) {
-      case GateType::kConst0: derived = false; break;
-      case GateType::kConst1: derived = true; break;
+  bool imply_forward(std::uint32_t g) {
+    const GateType type = view_.gate_type(g);
+    const std::uint32_t out = view_.gate_output(g);
+    switch (type) {
+      case GateType::kDff: return true;  // sequential boundary
+      case GateType::kConst0: return enqueue(out, false);
+      case GateType::kConst1: return enqueue(out, true);
       case GateType::kBuf:
       case GateType::kNot: {
-        const auto in = map_.value(gate.inputs[0]);
-        if (in) derived = (gate.type == GateType::kBuf) ? *in : !*in;
-        break;
+        const std::uint8_t in = values_[view_.fanin(g)[0]];
+        if (in == kUnknown) return true;
+        return enqueue(out, (in == kOne) == (type == GateType::kBuf));
       }
       case GateType::kAnd:
       case GateType::kNand:
       case GateType::kOr:
       case GateType::kNor: {
-        const bool cv = *controlling_value(gate.type);
+        const std::uint8_t cv = controlling(type);
         bool all_known = true;
-        bool saw_controlling = false;
-        for (NetId in : gate.inputs) {
-          const auto v = map_.value(in);
-          if (!v) {
-            all_known = false;
-          } else if (*v == cv) {
-            saw_controlling = true;
-          }
+        for (std::uint32_t in : view_.fanin(g)) {
+          const std::uint8_t v = values_[in];
+          if (v == cv) return enqueue(out, controlled_out(type));
+          if (v == kUnknown) all_known = false;
         }
-        if (saw_controlling)
-          derived = controlled_output(gate.type);
-        else if (all_known)
-          derived = !controlled_output(gate.type);
-        break;
+        return all_known ? enqueue(out, !controlled_out(type)) : true;
       }
       case GateType::kXor:
       case GateType::kXnor: {
-        bool parity = gate.type == GateType::kXnor;  // XNOR inverts
-        bool all_known = true;
-        for (NetId in : gate.inputs) {
-          const auto v = map_.value(in);
-          if (!v) {
-            all_known = false;
-            break;
-          }
-          parity = parity != *v;
+        bool parity = type == GateType::kXnor;  // XNOR inverts
+        for (std::uint32_t in : view_.fanin(g)) {
+          const std::uint8_t v = values_[in];
+          if (v == kUnknown) return true;
+          parity = parity != (v == kOne);
         }
-        if (all_known) derived = parity;
-        break;
+        return enqueue(out, parity);
       }
-      case GateType::kDff: break;
     }
-    if (derived) return enqueue(gate.output, *derived);
     return true;
   }
 
   // Derive input values forced by the gate's assigned output.
-  bool imply_backward(GateId g) {
-    const Gate& gate = nl_->gate(g);
-    if (gate.type == GateType::kDff) return true;
-    const auto out = map_.value(gate.output);
-    if (!out) return true;
+  bool imply_backward(std::uint32_t g) {
+    const GateType type = view_.gate_type(g);
+    const std::uint8_t out_value = values_[view_.gate_output(g)];
+    if (out_value == kUnknown) return true;
+    const bool out = out_value == kOne;
+    const auto inputs = view_.fanin(g);
 
-    switch (gate.type) {
-      case GateType::kConst0: return *out == false;
-      case GateType::kConst1: return *out == true;
-      case GateType::kBuf: return enqueue(gate.inputs[0], *out);
-      case GateType::kNot: return enqueue(gate.inputs[0], !*out);
+    switch (type) {
+      case GateType::kConst0: return !out;
+      case GateType::kConst1: return out;
+      case GateType::kBuf: return enqueue(inputs[0], out);
+      case GateType::kNot: return enqueue(inputs[0], !out);
       case GateType::kAnd:
       case GateType::kNand:
       case GateType::kOr:
       case GateType::kNor: {
-        const bool cv = *controlling_value(gate.type);
-        const bool cout = controlled_output(gate.type);
-        if (*out == !cout) {
+        const std::uint8_t cv = controlling(type);
+        if (out != controlled_out(type)) {
           // Output is the non-controlled value: every input must be
           // non-controlling.
-          for (NetId in : gate.inputs)
-            if (!enqueue(in, !cv)) return false;
+          for (std::uint32_t in : inputs)
+            if (!enqueue(in, cv == kZero)) return false;
           return true;
         }
         // Output is the controlled value: at least one controlling input; if
         // exactly one input is unknown and the rest are non-controlling, it
-        // must carry the controlling value.
-        std::optional<NetId> sole_unknown;
+        // must carry the controlling value.  A controlling input or a second
+        // unknown settles nothing, so both end the scan.
+        std::uint32_t sole_unknown = 0;
         std::size_t unknown_count = 0;
-        bool saw_controlling = false;
-        for (NetId in : gate.inputs) {
-          const auto v = map_.value(in);
-          if (!v) {
-            ++unknown_count;
+        for (std::uint32_t in : inputs) {
+          const std::uint8_t v = values_[in];
+          if (v == cv) return true;
+          if (v == kUnknown) {
+            if (++unknown_count == 2) return true;
             sole_unknown = in;
-          } else if (*v == cv) {
-            saw_controlling = true;
           }
         }
-        if (saw_controlling) return true;
         if (unknown_count == 0) return false;  // conflict
-        if (unknown_count == 1) return enqueue(*sole_unknown, cv);
-        return true;
+        return enqueue(sole_unknown, cv == kOne);
       }
       case GateType::kXor:
       case GateType::kXnor: {
-        std::optional<NetId> sole_unknown;
+        std::uint32_t sole_unknown = 0;
         std::size_t unknown_count = 0;
-        bool parity = gate.type == GateType::kXnor;
-        for (NetId in : gate.inputs) {
-          const auto v = map_.value(in);
-          if (!v) {
-            ++unknown_count;
+        bool parity = type == GateType::kXnor;
+        for (std::uint32_t in : inputs) {
+          const std::uint8_t v = values_[in];
+          if (v == kUnknown) {
+            if (++unknown_count == 2) return true;
             sole_unknown = in;
           } else {
-            parity = parity != *v;
+            parity = parity != (v == kOne);
           }
         }
-        if (unknown_count == 1)
-          return enqueue(*sole_unknown, parity != *out);
-        if (unknown_count == 0) return parity == *out;
-        return true;
+        if (unknown_count == 1) return enqueue(sole_unknown, parity != out);
+        return parity == out;
       }
-      case GateType::kDff: return true;
+      case GateType::kDff: return true;  // sequential boundary
     }
     return true;
   }
 
-  const Netlist* nl_;
-  bool backward_;
-  AssignmentMap map_;
-  std::deque<NetId> queue_;
+  const CompactView& view_;
+  std::uint8_t* values_ = nullptr;
+  std::vector<NetId>& assigned_;
+  const exec::Checkpoint* checkpoint_;
 };
 
-}  // namespace
+bool propagate(const CompactView& view,
+               std::span<const std::pair<NetId, bool>> seeds,
+               AssignmentMap& map, const exec::Checkpoint* checkpoint) {
+  return ClosureKernel(view, map, checkpoint).run(seeds);
+}
 
-PropagationResult propagate(const Netlist& nl,
-                            std::span<const std::pair<NetId, bool>> seeds,
-                            bool backward) {
-  return Propagator(nl, backward).run(seeds);
+PropagationResult propagate(const CompactView& view,
+                            std::span<const std::pair<NetId, bool>> seeds) {
+  PropagationResult result;
+  result.feasible = propagate(view, seeds, result.map);
+  return result;
 }
 
 }  // namespace netrev::wordrec

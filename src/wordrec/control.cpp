@@ -12,21 +12,12 @@
 namespace netrev::wordrec {
 
 using netlist::CompactView;
-using netlist::ConeScratch;
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
+using netlist::thread_cone_scratch;
 
 namespace {
-
-// Per-worker visited-stamp scratch for the CSR walks: control-signal search
-// runs both serially inside a group worker and fanned out over the pool (the
-// dominance filter), so thread-local storage gives every thread its own
-// stamps with no clearing between walks.
-ConeScratch& local_scratch() {
-  static thread_local ConeScratch scratch;
-  return scratch;
-}
 
 // CSR twin of the containment + dominance computation below.  Visit orders
 // and WorkBudget charges match the legacy walks one-for-one, and `common`
@@ -39,8 +30,9 @@ std::vector<NetId> find_signals_compact(
   // count — a net common to all subtrees appears exactly roots.size() times.
   std::vector<std::uint32_t> all;
   for (NetId root : dissimilar_roots) {
-    const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
-        root.value(), subtree_depth, local_scratch(), options.cone_budget);
+    const std::vector<std::uint32_t> cone =
+        view.fanin_cone_nets(root.value(), subtree_depth,
+                             thread_cone_scratch(), options.cone_budget);
     all.insert(all.end(), cone.begin(), cone.end());
   }
   std::sort(all.begin(), all.end());
@@ -83,7 +75,7 @@ std::vector<NetId> find_signals_compact(
     }
     for (std::size_t j = 0; j < common.size(); ++j) {
       if (i == j) continue;
-      if (view.in_fanin_cone(common[j], common[i], local_scratch(),
+      if (view.in_fanin_cone(common[j], common[i], thread_cone_scratch(),
                              options.cone_budget)) {
         dominated[i] = 1;
         return;

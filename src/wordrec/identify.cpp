@@ -128,16 +128,29 @@ void emit_fallback_words(const Subgroup& subgroup,
 // One trial's verdict: propagate the assignment and re-hash the subgroup's
 // bits under it; true iff every bit stays non-constant and all signatures
 // become equal with at least one subtree left.
-bool trial_unifies(const Netlist& nl, const ConeHasher& hasher,
+bool trial_unifies(const netlist::CompactView& view, const ConeHasher& hasher,
                    const Subgroup& subgroup, const std::vector<Seed>& trial,
-                   bool* feasible_out) {
-  const PropagationResult propagated = propagate(nl, trial);
-  if (feasible_out != nullptr) *feasible_out = propagated.feasible;
-  if (!propagated.feasible) return false;
+                   const Options& options, bool* feasible_out) {
+  static perf::Profiler::Counter& nets_assigned =
+      perf::Profiler::global().counter("nets_assigned");
+  // Per-thread closure scratch, reused by every trial the thread evaluates:
+  // after the first trial on a design, a trial allocates nothing and resets
+  // only the nets the previous one assigned.  Trials never nest on a thread
+  // (nested parallel_for runs inline, and a trial starts no parallel work).
+  static thread_local AssignmentMap map;
+  bool feasible = false;
+  {
+    perf::ScopedWork work("stage.propagate_ns");
+    feasible = propagate(view, trial, map, &options.checkpoint);
+  }
+  if (perf::Profiler::global().enabled())
+    nets_assigned.fetch_add(map.size(), std::memory_order_relaxed);
+  if (feasible_out != nullptr) *feasible_out = feasible;
+  if (!feasible) return false;
 
   std::optional<BitSignature> first;
   for (NetId bit : subgroup.bits) {
-    BitSignature sig = hasher.signature(bit, &propagated.map);
+    BitSignature sig = hasher.signature(bit, &map);
     if (!sig.root_type.has_value()) return false;  // a bit became constant
     if (!first) {
       first = std::move(sig);
@@ -159,7 +172,9 @@ struct GroupOutcome {
   std::vector<UnifiedWord> unified;
 };
 
-GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
+GroupOutcome process_group(const Netlist& nl,
+                           const netlist::CompactView& view,
+                           const ConeHasher& hasher,
                            const PotentialBitGroup& group,
                            const Options& options,
                            std::size_t subtree_depth) {
@@ -223,12 +238,11 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       if (!signals.empty()) {
         // The dissimilar region: nets of all recorded dissimilar subtrees.
         if (options.use_compact && options.compact != nullptr) {
-          netlist::ConeScratch scratch;
           for (const auto& per_bit : subgroup.dissimilar)
             for (NetId root : per_bit)
               for (std::uint32_t net : options.compact->fanin_cone_nets(
-                       root.value(), subtree_depth, scratch,
-                       options.cone_budget))
+                       root.value(), subtree_depth,
+                       netlist::thread_cone_scratch(), options.cone_budget))
                 region.insert(NetId(net));
         } else {
           for (const auto& per_bit : subgroup.dissimilar)
@@ -272,7 +286,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       for (std::size_t t = 0; t < trials.size(); ++t) {
         bool feasible = false;
         const bool unifies =
-            trial_unifies(nl, hasher, subgroup, trials[t], &feasible);
+            trial_unifies(view, hasher, subgroup, trials[t], options,
+                          &feasible);
         options.trace->records.push_back(TraceRecord{
             TraceRecord::Kind::kTrial, {}, trials[t], feasible});
         if (unifies) {
@@ -288,8 +303,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
             std::min(chunk + kTrialChunk, trials.size());
         std::vector<std::uint8_t> unifies(chunk_end - chunk, 0);
         parallel_for(chunk, chunk_end, [&](std::size_t t) {
-          unifies[t - chunk] =
-              trial_unifies(nl, hasher, subgroup, trials[t], nullptr) ? 1 : 0;
+          unifies[t - chunk] = trial_unifies(view, hasher, subgroup,
+                                             trials[t], options, nullptr);
         });
         for (std::size_t t = chunk; t < chunk_end; ++t) {
           if (unifies[t - chunk] != 0) {
@@ -371,12 +386,16 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   // hashing recursion of this run iterates CSR arrays.  Callers that pass a
   // prebuilt view (the Session's cached artifact) skip the build; the view
   // must be installed before the hasher is constructed (it copies options).
+  // Constant propagation always runs on a view, so --legacy-core builds one
+  // for the reduction trials alone.
   std::optional<netlist::CompactView> local_view;
-  if (options.use_compact && options.compact == nullptr) {
+  if (options.compact == nullptr) {
     perf::Stage compact_stage("compact");
     local_view.emplace(netlist::CompactView::build(nl));
-    options.compact = &*local_view;
+    if (options.use_compact) options.compact = &*local_view;
   }
+  const netlist::CompactView& view =
+      options.compact != nullptr ? *options.compact : *local_view;
 
   const ConeHasher hasher(nl, options);
   IdentifyResult result;
@@ -404,7 +423,7 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     const auto process = [&](std::size_t g) {
       options.checkpoint.poll();
       outcomes[g] =
-          process_group(nl, hasher, groups[g], options, subtree_depth);
+          process_group(nl, view, hasher, groups[g], options, subtree_depth);
     };
     if (options.trace != nullptr) {
       for (std::size_t g = 0; g < groups.size(); ++g) process(g);

@@ -585,6 +585,51 @@ TEST(Cli, ProfileJsonEmitsStageTree) {
   EXPECT_NE(last.find("\"counters\":{"), std::string::npos);
 }
 
+// Splits `identify --json --profile=json` stdout into the result document
+// and the profile JSON (its last line).
+std::pair<std::string, std::string> split_profile(const std::string& out) {
+  const auto newline = out.find_last_of('\n', out.size() - 2);
+  return {out.substr(0, newline + 1), out.substr(newline + 1)};
+}
+
+// Value of counter `name` in a profile JSON document; 0 when absent (the
+// profiler omits zero counters).
+std::uint64_t profile_counter(const std::string& profile,
+                              const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const auto at = profile.find(key, profile.find("\"counters\":"));
+  if (at == std::string::npos) return 0;
+  return std::stoull(profile.substr(at + key.size()));
+}
+
+TEST(Cli, ProfileJsonReportsPropagationWorkIndependentOfJobs) {
+  const auto profiled = [](const char* jobs) {
+    pipeline::ArtifactCache::global().clear();  // force a real identify
+    return run({"identify", "b08s", "--json", "--profile=json", "--jobs",
+                jobs});
+  };
+  const CliRun serial = profiled("1");
+  const CliRun parallel = profiled("4");
+  ASSERT_EQ(serial.exit_code, 0);
+  ASSERT_EQ(parallel.exit_code, 0);
+  const auto [serial_result, serial_profile] = split_profile(serial.out);
+  const auto [parallel_result, parallel_profile] = split_profile(parallel.out);
+
+  EXPECT_GT(profile_counter(serial_profile, "stage.propagate_ns"), 0u)
+      << serial_profile;
+  EXPECT_GT(profile_counter(parallel_profile, "stage.propagate_ns"), 0u);
+  const std::uint64_t nets = profile_counter(serial_profile, "nets_assigned");
+  EXPECT_GT(nets, 0u) << serial_profile;
+  EXPECT_EQ(profile_counter(parallel_profile, "nets_assigned"), nets);
+
+  // Telemetry never reaches the result bytes.
+  const CliRun plain = run({"identify", "b08s", "--json"});
+  EXPECT_EQ(serial_result, plain.out);
+  EXPECT_EQ(parallel_result, plain.out);
+  EXPECT_EQ(plain.out.find("nets_assigned"), std::string::npos);
+  EXPECT_EQ(plain.out.find("propagate"), std::string::npos);
+}
+
 TEST(Cli, JobsFlagAcceptedAndOutputMatchesSerial) {
   const CliRun serial = run({"identify", "b04s", "--jobs", "1"});
   const CliRun parallel = run({"identify", "b04s", "-j", "4"});

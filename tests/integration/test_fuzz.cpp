@@ -69,10 +69,12 @@ TEST_P(FuzzTest, PropagationClosureIsSimulationSound) {
     const NetId net = nl.gate(nl.gate_id_at(g)).output;
     seeds.emplace_back(net, rng.next_bool());
   }
-  const auto prop = wordrec::propagate(nl, seeds);
+  const auto prop =
+      wordrec::propagate(netlist::CompactView::build(nl), seeds);
   if (!prop.feasible) return;  // contradictory seeds: nothing to check
-  std::unordered_map<NetId, bool> implied(prop.map.entries().begin(),
-                                          prop.map.entries().end());
+  std::unordered_map<NetId, bool> implied;
+  for (NetId net : prop.map.entries())
+    implied.emplace(net, *prop.map.value(net));
   const auto check =
       sim::check_implications(nl, seeds, implied, 300, GetParam() * 31 + 7);
   EXPECT_EQ(check.violations, 0u);
@@ -81,12 +83,13 @@ TEST_P(FuzzTest, PropagationClosureIsSimulationSound) {
 TEST_P(FuzzTest, ReductionValidatesAndPreservesBehaviour) {
   const Netlist nl = make(GetParam());
   Rng rng(GetParam() * 131);
+  const netlist::CompactView view = netlist::CompactView::build(nl);
   // Pick a random single-net assumption that is feasible.
   for (int attempt = 0; attempt < 5; ++attempt) {
     const std::size_t g = rng.next_below(nl.gate_count());
     const NetId net = nl.gate(nl.gate_id_at(g)).output;
     const std::pair<NetId, bool> seeds[] = {{net, rng.next_bool()}};
-    const auto prop = wordrec::propagate(nl, seeds);
+    const auto prop = wordrec::propagate(view, seeds);
     if (!prop.feasible) continue;
     const Netlist reduced = wordrec::materialize_reduction(nl, prop.map);
     const auto report = netlist::validate(reduced);

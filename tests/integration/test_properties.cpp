@@ -43,11 +43,13 @@ class PropertyTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(PropertyTest, CommittedAssignmentsAreSimulationSound) {
   const auto& p = produced(GetParam());
   ASSERT_FALSE(p.result.unified.empty());
+  const auto view = netlist::CompactView::build(p.bench.netlist);
   for (const auto& unified : p.result.unified) {
-    const auto prop = wordrec::propagate(p.bench.netlist, unified.assignment);
+    const auto prop = wordrec::propagate(view, unified.assignment);
     ASSERT_TRUE(prop.feasible);
-    std::unordered_map<netlist::NetId, bool> implied(
-        prop.map.entries().begin(), prop.map.entries().end());
+    std::unordered_map<netlist::NetId, bool> implied;
+    for (netlist::NetId net : prop.map.entries())
+      implied.emplace(net, *prop.map.value(net));
     const auto check = sim::check_implications(
         p.bench.netlist, unified.assignment, implied, 60, 0xC0FFEE);
     EXPECT_EQ(check.violations, 0u);
@@ -56,11 +58,12 @@ TEST_P(PropertyTest, CommittedAssignmentsAreSimulationSound) {
 
 TEST_P(PropertyTest, MaterializedReductionsValidateAndAgreeBehaviourally) {
   const auto& p = produced(GetParam());
+  const auto view = netlist::CompactView::build(p.bench.netlist);
   std::size_t checked = 0;
   for (const auto& unified : p.result.unified) {
     if (checked >= 2) break;  // equivalence sims are the expensive part
     ++checked;
-    const auto prop = wordrec::propagate(p.bench.netlist, unified.assignment);
+    const auto prop = wordrec::propagate(view, unified.assignment);
     const auto reduced =
         wordrec::materialize_reduction(p.bench.netlist, prop.map);
     const auto report = netlist::validate(reduced);
@@ -76,8 +79,9 @@ TEST_P(PropertyTest, VirtualAndMaterializedKeysAgreeOnWordBits) {
   const auto& p = produced(GetParam());
   const wordrec::Options options;
   const wordrec::ConeHasher virtual_hasher(p.bench.netlist, options);
+  const auto view = netlist::CompactView::build(p.bench.netlist);
   for (const auto& unified : p.result.unified) {
-    const auto prop = wordrec::propagate(p.bench.netlist, unified.assignment);
+    const auto prop = wordrec::propagate(view, unified.assignment);
     const auto reduced =
         wordrec::materialize_reduction(p.bench.netlist, prop.map);
     const wordrec::ConeHasher reduced_hasher(reduced, options);

@@ -117,7 +117,8 @@ TEST(WordForge, ControlWordUnifiesUnderControlAssignment) {
       f.forge.emit_word(f.plan(WordKind::kControlFromNotFound, 4), 0);
   const wordrec::ConeHasher hasher(f.nl, {});
   const std::pair<NetId, bool> seeds[] = {{word.controls_used[0], false}};
-  const auto prop = wordrec::propagate(f.nl, seeds);
+  const auto prop =
+      wordrec::propagate(netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
   const auto first = hasher.signature(word.d_nets[0], &prop.map);
   for (std::size_t i = 1; i < word.d_nets.size(); ++i)
@@ -132,7 +133,8 @@ TEST(WordForge, PairWordNeedsBothControls) {
   const wordrec::ConeHasher hasher(f.nl, {});
 
   const auto unified = [&](std::vector<std::pair<NetId, bool>> seeds) {
-    const auto prop = wordrec::propagate(f.nl, seeds);
+    const auto prop =
+      wordrec::propagate(netlist::CompactView::build(f.nl), seeds);
     if (!prop.feasible) return false;
     const auto first = hasher.signature(word.d_nets[0], &prop.map);
     if (!first.root_type.has_value()) return false;

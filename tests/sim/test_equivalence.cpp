@@ -55,10 +55,12 @@ TEST(ImplicationCheck, UnsoundImplicationsFail) {
 TEST(ImplicationCheck, PropagationClosureIsSound) {
   Fixture f;
   const std::pair<NetId, bool> seeds[] = {{f.ctrl, false}};
-  const auto prop = wordrec::propagate(f.nl, seeds);
+  const auto prop = wordrec::propagate(
+      netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
-  std::unordered_map<NetId, bool> implied(prop.map.entries().begin(),
-                                          prop.map.entries().end());
+  std::unordered_map<NetId, bool> implied;
+  for (NetId net : prop.map.entries())
+    implied.emplace(net, *prop.map.value(net));
   const auto result = check_implications(f.nl, seeds, implied, 500, 11);
   EXPECT_GT(result.vectors_applicable, 0u);
   EXPECT_TRUE(result.ok()) << result.violations << " violations";
@@ -67,7 +69,8 @@ TEST(ImplicationCheck, PropagationClosureIsSound) {
 TEST(ReductionCheck, MaterializedReductionIsEquivalent) {
   Fixture f;
   const std::pair<NetId, bool> seeds[] = {{f.ctrl, false}};
-  const auto prop = wordrec::propagate(f.nl, seeds);
+  const auto prop = wordrec::propagate(
+      netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
   const Netlist reduced = wordrec::materialize_reduction(f.nl, prop.map);
   const auto result =

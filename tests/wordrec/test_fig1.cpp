@@ -37,7 +37,8 @@ class Fig1Test : public ::testing::Test {
 
   bool unified_under(std::initializer_list<std::pair<NetId, bool>> seeds) const {
     const std::vector<std::pair<NetId, bool>> seed_vec(seeds);
-    const auto prop = propagate(fig_.netlist, seed_vec);
+    const auto prop =
+        propagate(netlist::CompactView::build(fig_.netlist), seed_vec);
     if (!prop.feasible) return false;
     const auto first = hasher_.signature(fig_.word_bits[0], &prop.map);
     if (!first.root_type.has_value()) return false;

@@ -170,7 +170,7 @@ TEST(VirtualReduction, DropsKilledSubtreeAndCollapsesRoot) {
                    .structurally_equal(hasher.signature(f.bit_plain)));
   // ctrl=0 kills e (NAND controlling input) and the root drops it.
   const std::pair<NetId, bool> seeds[] = {{f.ctrl, false}};
-  const auto prop = propagate(f.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
   EXPECT_TRUE(
       hasher.signature(f.bit_garnished, &prop.map)
@@ -181,7 +181,7 @@ TEST(VirtualReduction, AssignedBitHasNoSignature) {
   ReductionFixture f;
   const ConeHasher hasher(f.nl, f.options);
   const std::pair<NetId, bool> seeds[] = {{f.bit_plain, true}};
-  const auto prop = propagate(f.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
   EXPECT_FALSE(hasher.signature(f.bit_plain, &prop.map).root_type.has_value());
 }

@@ -50,7 +50,7 @@ struct Fixture : Builder {
 TEST(Reduce, RemovesAssignedGatesAndNets) {
   Fixture f;
   const Seed seeds[] = {{f.ctrl, false}};
-  const auto prop = propagate(f.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
   const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
   // ctrl and e vanish; root sheds the e input.
@@ -67,7 +67,7 @@ TEST(Reduce, RemovesAssignedGatesAndNets) {
 TEST(Reduce, ReducedNetlistValidates) {
   Fixture f;
   const Seed seeds[] = {{f.ctrl, false}};
-  const auto prop = propagate(f.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
   const auto report = netlist::validate(reduced);
   EXPECT_TRUE(report.ok()) << report.to_string();
@@ -82,7 +82,7 @@ TEST(Reduce, SingleLiveInputBecomesBufferOrInverter) {
   b.nl.mark_primary_output(y_nand);
   // en = 1 is non-controlling for both.
   const Seed seeds[] = {{en, true}};
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   const auto and_drv = reduced.driver_of(*reduced.find_net("y_and"));
   EXPECT_EQ(reduced.gate(*and_drv).type, GateType::kBuf);
@@ -96,7 +96,7 @@ TEST(Reduce, XorParityFlipsType) {
   const NetId y = b.gate(GateType::kXor, "y", {a, c, k});
   b.nl.mark_primary_output(y);
   const Seed seeds[] = {{k, true}};
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   const auto drv = reduced.driver_of(*reduced.find_net("y"));
   EXPECT_EQ(reduced.gate(*drv).type, GateType::kXnor);
@@ -115,7 +115,7 @@ TEST(Reduce, DeadLogicSweptWhenEnabled) {
   b.nl.mark_primary_output(root);
 
   const Seed seeds[] = {{ctrl, false}};
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist swept = materialize_reduction(b.nl, prop.map, b.options);
   EXPECT_FALSE(swept.find_net("t").has_value());  // floated and swept
 
@@ -135,7 +135,7 @@ TEST(Reduce, FlopWithConstantDGetsConstDriver) {
   const NetId y = b.gate(GateType::kNot, "y", {q});
   b.nl.mark_primary_output(y);
   const Seed seeds[] = {{en, false}};  // d becomes constant 0
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   const auto report = netlist::validate(reduced);
   EXPECT_TRUE(report.ok()) << report.to_string();
@@ -159,7 +159,7 @@ TEST(Reduce, PreexistingConstantGatesSurvive) {
   const NetId z = b.gate(GateType::kAnd, "z", {y, en});
   b.nl.mark_primary_output(z);
   const Seed seeds[] = {{en, true}};  // unrelated to the constant
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   EXPECT_TRUE(netlist::validate(reduced).ok());
   const auto kept = reduced.find_net("one");
@@ -179,7 +179,7 @@ TEST(Reduce, EmptyAssignmentIsIdentityModuloDeadSweep) {
 TEST(Reduce, VirtualAndMaterializedKeysAgree) {
   Fixture f;
   const Seed seeds[] = {{f.ctrl, false}};
-  const auto prop = propagate(f.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
 
   const ConeHasher virtual_hasher(f.nl, f.options);
@@ -206,7 +206,7 @@ TEST(Reduce, BehaviourPreservedUnderAssumption) {
   b.nl.mark_primary_output(root);
 
   const Seed seeds[] = {{ctrl, false}};
-  const auto prop = propagate(b.nl, seeds);
+  const auto prop = propagate(netlist::CompactView::build(b.nl), seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   const auto check =
       sim::check_reduction_equivalence(b.nl, reduced, seeds, 500, 99);
