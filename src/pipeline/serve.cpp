@@ -1,5 +1,6 @@
 #include "pipeline/serve.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -8,6 +9,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -51,7 +53,7 @@ struct Server::Connection {
     }
   }
 
-  // Unblocks the reader thread's poll/recv from another thread.
+  // Unblocks a thread stuck in poll/recv/send on this socket.
   void shutdown_both() { ::shutdown(fd, SHUT_RDWR); }
 
   int fd;
@@ -65,6 +67,8 @@ Server::Server(ServeOptions options, std::ostream* log)
 
 Server::~Server() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  for (const int fd : retire_pipe_)
+    if (fd >= 0) ::close(fd);
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
 }
 
@@ -119,7 +123,24 @@ void Server::start() {
   if (::listen(fd.fd, 64) != 0)
     throw std::runtime_error(std::string("serve: listen failed: ") +
                              std::strerror(errno));
+  if (::pipe2(retire_pipe_, O_CLOEXEC) != 0)
+    throw std::runtime_error(std::string("serve: cannot create pipe: ") +
+                             std::strerror(errno));
   listen_fd_ = fd.release();
+}
+
+void Server::accept_connection(int fd) {
+  auto connection = std::make_shared<Connection>(fd);
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    connections_.push_back(connection);
+  }
+  readers_.emplace_back([this, connection = std::move(connection)]() mutable {
+    reader_loop(std::move(connection));
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    ++readers_done_;
+    readers_cv_.notify_all();
+  });
 }
 
 void Server::logline(const std::string& text) {
@@ -247,27 +268,9 @@ void Server::reader_loop(std::shared_ptr<Connection> connection) {
   std::string buffer;
   auto last_activity = std::chrono::steady_clock::now();
   char chunk[4096];
-  for (;;) {
-    pollfd pfd{connection->fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) {
-      if (options_.idle_timeout.count() > 0 &&
-          std::chrono::steady_clock::now() - last_activity >
-              options_.idle_timeout) {
-        logline("connection idle for " +
-                std::to_string(options_.idle_timeout.count()) +
-                "ms, closing");
-        break;
-      }
-      continue;
-    }
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // peer closed (or the drain shutdown unblocked us)
-    last_activity = std::chrono::steady_clock::now();
+  // Frames every complete line of `n` fresh bytes; false once the
+  // connection must close.
+  const auto consume = [&](ssize_t n) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline;
     while ((newline = buffer.find('\n')) != std::string::npos) {
@@ -287,8 +290,44 @@ void Server::reader_loop(std::shared_ptr<Connection> connection) {
                        "); closing connection";
       executor_.record(response.status);
       respond(connection, response);
+      return false;
+    }
+    return true;
+  };
+  for (;;) {
+    pollfd pfds[2] = {{connection->fd, POLLIN, 0},
+                      {retire_pipe_[0], POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, 100);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
       break;
     }
+    if (pfds[1].revents != 0) {
+      // Retiring at the end of a drain: answer every line the client has
+      // already sent (admission sheds them as "draining") instead of
+      // closing on unread requests, then stop.
+      ssize_t n;
+      while ((n = ::recv(connection->fd, chunk, sizeof(chunk),
+                         MSG_DONTWAIT)) > 0 &&
+             consume(n)) {
+      }
+      break;
+    }
+    if (ready == 0) {
+      if (options_.idle_timeout.count() > 0 &&
+          std::chrono::steady_clock::now() - last_activity >
+              options_.idle_timeout) {
+        logline("connection idle for " +
+                std::to_string(options_.idle_timeout.count()) +
+                "ms, closing");
+        break;
+      }
+      continue;
+    }
+    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;  // peer closed (or a stuck drain shut the socket)
+    last_activity = std::chrono::steady_clock::now();
+    if (!consume(n)) break;
   }
 }
 
@@ -325,25 +364,23 @@ ExitCode Server::run() {
     if (ready <= 0) continue;  // timeout or EINTR: re-check the drain flag
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    auto connection = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(connection);
-    }
-    readers_.emplace_back(
-        [this, connection = std::move(connection)]() mutable {
-          reader_loop(std::move(connection));
-        });
+    accept_connection(fd);
   }
 
   // --- drain ---------------------------------------------------------------
   logline("drain requested");
-  ::close(listen_fd_);  // stop accepting; connected readers keep reading
-  listen_fd_ = -1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;  // admission now sheds everything as "overloaded"
   }
+  // Connections the kernel completed before the drain are still served:
+  // their clients may already have sent requests, which get answered
+  // (shed as "draining") rather than reset with the listen socket.
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+  for (int fd; (fd = ::accept(listen_fd_, nullptr, nullptr)) >= 0;)
+    accept_connection(fd);
+  ::close(listen_fd_);  // stop accepting; connected readers keep reading
+  listen_fd_ = -1;
 
   const auto deadline =
       std::chrono::steady_clock::now() + options_.drain_timeout;
@@ -386,12 +423,26 @@ ExitCode Server::run() {
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
 
-  // Unblock and retire the readers; responses are all flushed (write_line
-  // completes before a worker retires), so closing now loses nothing.
+  // Retire the readers: each answers what its client already sent, then
+  // returns, dropping (and so closing) its connection.  Worker responses
+  // are all flushed (write_line completes before a worker retires), so
+  // closing loses nothing.  A client that stops reading its replies could
+  // block a reader's send forever, so once the rest of the drain window
+  // (at least 100 ms) is spent the remaining sockets are shut down, which
+  // unblocks them.
+  const char wake = 1;
+  while (::write(retire_pipe_[1], &wake, 1) < 0 && errno == EINTR) {
+  }
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (std::weak_ptr<Connection>& weak : connections_)
-      if (auto connection = weak.lock()) connection->shutdown_both();
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    const bool retired = readers_cv_.wait_until(
+        lock,
+        std::max(deadline, std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(100)),
+        [&] { return readers_done_ == readers_.size(); });
+    if (!retired)
+      for (std::weak_ptr<Connection>& weak : connections_)
+        if (auto connection = weak.lock()) connection->shutdown_both();
   }
   for (std::thread& reader : readers_) reader.join();
   readers_.clear();

@@ -12,11 +12,13 @@
 //     heavy pipeline stages inside each request fan out on the process-wide
 //     ThreadPool exactly as the one-shot CLI does.
 //   * drain: request_drain() (wired to SIGTERM/SIGINT by the CLI) stops
-//     accepting connections, sheds new requests as "overloaded", and gives
-//     admitted work `drain_timeout` to finish.  If the window expires the
-//     in-flight cancel tokens fire and still-queued requests are answered
-//     with status "cancelled" — every admitted request gets exactly one
-//     response either way.  run() returns ExitCode::kDrained on a clean
+//     accepting connections (those the kernel already completed are still
+//     served), sheds new requests as "overloaded", and gives admitted work
+//     `drain_timeout` to finish.  If the window expires the in-flight
+//     cancel tokens fire and still-queued requests are answered with
+//     status "cancelled" — every admitted request gets exactly one response
+//     either way, and each line a client sent before its connection is
+//     retired gets answered.  run() returns ExitCode::kDrained on a clean
 //     drain, ExitCode::kDrainTimeout otherwise.
 //   * isolation (--isolate): with a worker pool configured, analysis ops are
 //     executed in supervised child processes; a request that crashes its
@@ -119,6 +121,8 @@ class Server : public protocol::HealthSource {
     std::shared_ptr<Connection> connection;
   };
 
+  // Registers an accepted socket and starts its reader thread.
+  void accept_connection(int fd);
   void reader_loop(std::shared_ptr<Connection> connection);
   void worker_loop();
   // Executes one admitted request: in-process, or — when isolating and the
@@ -137,6 +141,9 @@ class Server : public protocol::HealthSource {
   std::chrono::steady_clock::time_point start_time_{};
 
   int listen_fd_ = -1;
+  // Written once at the end of a drain; readers poll the read end and
+  // retire when it becomes readable.
+  int retire_pipe_[2] = {-1, -1};
   int port_ = 0;
   std::atomic<bool> drain_requested_{false};
   std::atomic<std::uint64_t> next_request_id_{1};
@@ -151,8 +158,10 @@ class Server : public protocol::HealthSource {
   std::condition_variable drain_cv_;  // run() waits for quiesce
 
   std::vector<std::thread> workers_;
-  std::mutex connections_mutex_;
+  std::mutex connections_mutex_;  // guards the two fields below
   std::vector<std::weak_ptr<Connection>> connections_;
+  std::size_t readers_done_ = 0;  // reader threads that have returned
+  std::condition_variable readers_cv_;
   std::vector<std::thread> readers_;
   std::mutex log_mutex_;
 };

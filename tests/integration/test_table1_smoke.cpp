@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "eval/reference.h"
 #include "eval/runner.h"
@@ -37,8 +38,16 @@ const eval::Table1Row& row_for(const std::string& name) {
   return it->second;
 }
 
-class Table1Smoke
-    : public ::testing::TestWithParam<std::pair<const char*, Expected>> {};
+struct Cell {
+  const char* design;
+  Expected expected;
+};
+
+// Names each case by its design; gtest would otherwise print the raw
+// parameter bytes, pointer included, which change with every build.
+void PrintTo(const Cell& cell, std::ostream* out) { *out << cell.design; }
+
+class Table1Smoke : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(Table1Smoke, MatchesPaperCells) {
   const auto& [name, expected] = GetParam();
@@ -52,19 +61,18 @@ TEST_P(Table1Smoke, MatchesPaperCells) {
 }
 
 // Paper Table 1 cells (percentages rounded as printed there).
-INSTANTIATE_TEST_SUITE_P(
-    PaperCells, Table1Smoke,
-    ::testing::Values(
-        std::pair<const char*, Expected>{"b03s", {71.4, 85.7, 14.3, 14.3, 1}},
-        std::pair<const char*, Expected>{"b04s", {77.8, 88.9, 11.1, 11.1, 1}},
-        std::pair<const char*, Expected>{"b05s", {80.0, 80.0, 20.0, 20.0, 0}},
-        std::pair<const char*, Expected>{"b07s", {57.1, 57.1, 14.3, 14.3, 1}},
-        std::pair<const char*, Expected>{"b08s", {40.0, 80.0, 20.0, 20.0, 3}},
-        std::pair<const char*, Expected>{"b11s", {60.0, 60.0, 0.0, 0.0, 0}},
-        std::pair<const char*, Expected>{"b12s", {82.6, 91.3, 8.7, 4.3, 7}},
-        std::pair<const char*, Expected>{"b13s", {28.6, 42.9, 28.6, 14.3, 2}},
-        std::pair<const char*, Expected>{"b14s", {50.0, 62.5, 0.0, 0.0, 4}},
-        std::pair<const char*, Expected>{"b15s", {68.8, 81.2, 6.2, 0.0, 4}}));
+INSTANTIATE_TEST_SUITE_P(PaperCells, Table1Smoke,
+                         ::testing::Values(
+                             Cell{"b03s", {71.4, 85.7, 14.3, 14.3, 1}},
+                             Cell{"b04s", {77.8, 88.9, 11.1, 11.1, 1}},
+                             Cell{"b05s", {80.0, 80.0, 20.0, 20.0, 0}},
+                             Cell{"b07s", {57.1, 57.1, 14.3, 14.3, 1}},
+                             Cell{"b08s", {40.0, 80.0, 20.0, 20.0, 3}},
+                             Cell{"b11s", {60.0, 60.0, 0.0, 0.0, 0}},
+                             Cell{"b12s", {82.6, 91.3, 8.7, 4.3, 7}},
+                             Cell{"b13s", {28.6, 42.9, 28.6, 14.3, 2}},
+                             Cell{"b14s", {50.0, 62.5, 0.0, 0.0, 4}},
+                             Cell{"b15s", {68.8, 81.2, 6.2, 0.0, 4}}));
 
 TEST(Table1Smoke, FragmentationDirectionHolds) {
   // Aggregate over the small benchmarks: Ours' average fragmentation must

@@ -226,6 +226,40 @@ TEST(Serve, DrainUnderLoadAnswersEveryAdmittedRequestExactlyOnce) {
   EXPECT_EQ(server.drain(), ExitCode::kDrained);
 }
 
+// A client whose connect completed but that the accept loop had not yet
+// picked up when the drain began: its requests are answered (shed as
+// draining), then the connection closes — never a reset with lines unread.
+TEST(Serve, DrainAnswersConnectionsStillInTheAcceptBacklog) {
+  ArtifactCache cache;
+  ServeOptions options;
+  options.executor.cache = &cache;
+  Server server(options);
+  server.start();
+
+  client::Endpoint endpoint;
+  endpoint.host = "127.0.0.1";
+  endpoint.port = server.port();
+  client::Connection connection(endpoint);
+  connection.send_all(protocol::render_request(make(Op::kPing, "a")) + "\n" +
+                      protocol::render_request(make(Op::kPing, "b")) + "\n");
+
+  server.request_drain();
+  EXPECT_EQ(server.run(), ExitCode::kDrained);
+
+  std::set<std::string> answered;
+  for (int i = 0; i < 2; ++i) {
+    const protocol::ParsedResponse parsed = protocol::parse_response(
+        connection.read_line(std::chrono::milliseconds(5000)));
+    ASSERT_TRUE(parsed.response.has_value());
+    EXPECT_EQ(parsed.response->status, Status::kOverloaded);
+    EXPECT_NE(parsed.response->error.find("draining"), std::string::npos);
+    answered.insert(parsed.response->id);
+  }
+  EXPECT_EQ(answered, (std::set<std::string>{"a", "b"}));
+  EXPECT_THROW((void)connection.read_line(std::chrono::milliseconds(5000)),
+               std::runtime_error);
+}
+
 // Acceptance soak: ≥32 clients against a 4-worker server with a queue small
 // enough to force shedding.  Every request must get exactly one response
 // with a sane status, and repeated designs must hit the warm cache.
