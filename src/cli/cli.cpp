@@ -84,25 +84,27 @@ RunConfig config_from(const ParsedFlags& flags) {
 // 130) happens on the normal path once the in-flight entries observe the
 // flag and unwind.
 
-std::atomic<bool>* g_sigint_flag = nullptr;
+// The pointer itself is atomic: the handler may run on any thread, not just
+// the one that installed it (a lock-free atomic is async-signal-safe).
+std::atomic<std::atomic<bool>*> g_sigint_flag{nullptr};
 
 void handle_sigint(int) {
-  if (g_sigint_flag != nullptr)
-    g_sigint_flag->store(true, std::memory_order_relaxed);
+  if (std::atomic<bool>* flag = g_sigint_flag.load(std::memory_order_acquire))
+    flag->store(true, std::memory_order_relaxed);
 }
 
 class SigintGuard {
  public:
   explicit SigintGuard(exec::CancelToken& token)
-      : previous_flag_(g_sigint_flag) {
-    g_sigint_flag = token.flag();
+      : previous_flag_(g_sigint_flag.load(std::memory_order_acquire)) {
+    g_sigint_flag.store(token.flag(), std::memory_order_release);
     previous_ = std::signal(SIGINT, handle_sigint);
   }
   ~SigintGuard() {
     std::signal(SIGINT, previous_);
     // Restore (not null) so guards nest: run_cli arms every command, and
     // cmd_batch layers its own token over it for the batch window.
-    g_sigint_flag = previous_flag_;
+    g_sigint_flag.store(previous_flag_, std::memory_order_release);
   }
   SigintGuard(const SigintGuard&) = delete;
   SigintGuard& operator=(const SigintGuard&) = delete;
@@ -117,24 +119,24 @@ class SigintGuard {
 // the server's drain flag (async-signal-safe), and the accept loop observes
 // it within one poll tick.
 
-std::atomic<bool>* g_drain_flag = nullptr;
+std::atomic<std::atomic<bool>*> g_drain_flag{nullptr};  // as g_sigint_flag
 
 void handle_drain_signal(int) {
-  if (g_drain_flag != nullptr)
-    g_drain_flag->store(true, std::memory_order_relaxed);
+  if (std::atomic<bool>* flag = g_drain_flag.load(std::memory_order_acquire))
+    flag->store(true, std::memory_order_relaxed);
 }
 
 class DrainSignalGuard {
  public:
   explicit DrainSignalGuard(std::atomic<bool>* flag) {
-    g_drain_flag = flag;
+    g_drain_flag.store(flag, std::memory_order_release);
     previous_term_ = std::signal(SIGTERM, handle_drain_signal);
     previous_int_ = std::signal(SIGINT, handle_drain_signal);
   }
   ~DrainSignalGuard() {
     std::signal(SIGTERM, previous_term_);
     std::signal(SIGINT, previous_int_);
-    g_drain_flag = nullptr;
+    g_drain_flag.store(nullptr, std::memory_order_release);
   }
   DrainSignalGuard(const DrainSignalGuard&) = delete;
   DrainSignalGuard& operator=(const DrainSignalGuard&) = delete;

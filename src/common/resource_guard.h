@@ -31,19 +31,29 @@ struct ResourceLimits {
   std::size_t max_gates = 8'000'000;
 };
 
-// Metered work counter for graph traversals.  charge() every visited node;
-// once the limit is exceeded the traversal is aborted via ResourceLimitError.
-// A default-constructed budget is unlimited.
+// Metered work counter for graph traversals.  Every visited node costs one
+// unit; once the total exceeds the limit the traversal is aborted via
+// ResourceLimitError.  A default-constructed budget is unlimited.
 //
 // Thread-safe: one budget is shared by every cone walk of an
-// identify_words() run, and those walks execute on pool workers.  The total
-// charged is exact at any job count; which traversal observes the overflow
-// first may differ between job counts, but every run past the limit aborts
-// with the same error either way.
+// identify_words() run, and those walks execute on pool workers.  A walk
+// does not charge the shared counter per node (one contended atomic per
+// visited net made the walks slower at every job count added); it counts
+// visits in a stack-local Meter and charges them in strides of at most
+// kPollStride units, flushing the remainder before it returns.  So:
+//   * the total charged is exact at any job count, since each walk charges
+//     exactly its visit count;
+//   * a run exceeds the limit iff its total work exceeds the limit — the
+//     verdict is the same as with per-node charges;
+//   * the tripping walk may throw up to kPollStride - 1 units after the node
+//     that crossed the limit, and which walk observes the overflow first may
+//     differ between job counts.  Neither is observable: the throw discards
+//     the whole run.
 class WorkBudget {
  public:
   // charge() polls the attached checkpoint once per this many units, so a
-  // deadline clock read never sits on the per-net hot path.
+  // deadline clock read never sits on the per-net hot path.  Also the size
+  // of a Meter's stride.
   static constexpr std::size_t kPollStride = 1024;
 
   WorkBudget() = default;
@@ -63,12 +73,38 @@ class WorkBudget {
     if (limit_ != 0 && spent > limit_)
       throw ResourceLimitError("cone traversal work limit exceeded (" +
                                std::to_string(limit_) + " nodes)");
-    // Strided poll: checks roughly every kPollStride charged units.  The
-    // stride is approximate under concurrency, which is fine — polls decide
-    // *whether* to keep going, never *what* is computed.
+    // Strided poll: checks whenever the total crosses a multiple of
+    // kPollStride, hence on every full Meter stride.  The stride is
+    // approximate under concurrency, which is fine — polls decide *whether*
+    // to keep going, never *what* is computed.
     if (checkpoint_ != nullptr && (spent & (kPollStride - 1)) < units)
       checkpoint_->poll();
   }
+
+  // One walk's local visit counter.  tick() once per visited node; every
+  // kPollStride ticks the count is charged to the budget (which checks the
+  // limit and polls).  Call flush() on every return path of the walk so its
+  // total charge is exact; an exception needs no flush (it aborts the run).
+  // A null budget makes every call a no-op.
+  class Meter {
+   public:
+    explicit Meter(WorkBudget* budget) : budget_(budget) {}
+
+    void tick() {
+      if (budget_ != nullptr && ++pending_ == kPollStride) flush();
+    }
+
+    void flush() {
+      if (pending_ == 0) return;
+      const std::size_t units = pending_;
+      pending_ = 0;
+      budget_->charge(units);
+    }
+
+   private:
+    WorkBudget* budget_;
+    std::size_t pending_ = 0;
+  };
 
   bool limited() const { return limit_ != 0; }
   std::size_t spent() const {

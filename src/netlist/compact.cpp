@@ -4,14 +4,6 @@
 
 namespace netrev::netlist {
 
-namespace {
-
-void charge(WorkBudget* budget) {
-  if (budget != nullptr) budget->charge();
-}
-
-}  // namespace
-
 CompactView CompactView::build(const Netlist& nl) {
   CompactView view;
   const std::uint32_t nets = static_cast<std::uint32_t>(nl.net_count());
@@ -157,10 +149,11 @@ std::vector<std::uint32_t> CompactView::fanin_cone_nets(
   queue.push_back(root);
   depths.push_back(0);
   scratch.mark(root);
+  WorkBudget::Meter meter(budget);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const std::uint32_t net = queue[head];
     const std::size_t depth = depths[head];
-    charge(budget);
+    meter.tick();
     order.push_back(net);
     if (depth >= max_depth || !expandable(net)) continue;
     for (std::uint32_t in : fanin(net_driver_[net])) {
@@ -169,6 +162,7 @@ std::vector<std::uint32_t> CompactView::fanin_cone_nets(
       depths.push_back(static_cast<std::uint32_t>(depth + 1));
     }
   }
+  meter.flush();
   return order;
 }
 
@@ -178,7 +172,7 @@ bool CompactView::in_fanin_cone(std::uint32_t root, std::uint32_t candidate,
   if (root == candidate) return false;
   // Targeted DFS with early exit, mirroring netlist::in_fanin_cone: the
   // root's inputs seed the stack (root itself unmarked and uncharged), one
-  // budget unit per popped net.
+  // budget unit per popped net, charged in strides (WorkBudget::Meter).
   scratch.begin(net_count());
   std::vector<std::uint32_t>& stack = scratch.worklist();
   stack.clear();
@@ -188,13 +182,18 @@ bool CompactView::in_fanin_cone(std::uint32_t root, std::uint32_t candidate,
       if (scratch.mark(in)) stack.push_back(in);
   };
   push_inputs(root);
+  WorkBudget::Meter meter(budget);
   while (!stack.empty()) {
     const std::uint32_t net = stack.back();
     stack.pop_back();
-    charge(budget);
-    if (net == candidate) return true;
+    meter.tick();
+    if (net == candidate) {
+      meter.flush();
+      return true;
+    }
     push_inputs(net);
   }
+  meter.flush();
   return false;
 }
 

@@ -17,10 +17,12 @@
 // loaded design, so one build per design identity suffices.
 //
 // Determinism contract: the CSR traversals below visit nets in exactly the
-// order the legacy walks in cone.h do, and charge an attached WorkBudget in
-// exactly the same sequence, so switching between the legacy and compact
-// cores never changes any output byte — including which walk trips a
-// resource limit (asserted by tests/netlist/test_compact.cpp).
+// order the legacy walks in cone.h do, and charge an attached WorkBudget
+// exactly the same total per walk (in strides of up to
+// WorkBudget::kPollStride rather than one unit per net), so switching
+// between the legacy and compact cores never changes any output byte —
+// including which walk trips a resource limit (asserted by
+// tests/netlist/test_compact.cpp).
 #pragma once
 
 #include <cstddef>
@@ -173,8 +175,10 @@ class CompactView {
   // --- CSR cone walks ------------------------------------------------------
   //
   // Exact ports of the walks in cone.h: same visit order, same dedup
-  // semantics, same one-charge-per-visited-net budget sequence.  `scratch`
-  // carries the visited stamps and the worklist; one scratch per thread.
+  // semantics, one budget unit per visited net — counted in a
+  // WorkBudget::Meter and charged in strides, so concurrent walks do not
+  // contend on the shared counter per net.  `scratch` carries the visited
+  // stamps and the worklist; one scratch per thread.
 
   // Bounded-depth backward BFS from `root` (included, depth 0), stopping at
   // flop outputs / primary inputs; deterministic BFS order, deduplicated.

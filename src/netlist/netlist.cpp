@@ -8,20 +8,30 @@ namespace netrev::netlist {
 
 NetId Netlist::add_net(std::string_view name) {
   if (name.empty()) throw std::invalid_argument("net name must not be empty");
-  std::string key(name);
-  if (net_by_name_.contains(key))
-    throw std::invalid_argument("duplicate net name: " + key);
-  const NetId id(static_cast<std::uint32_t>(nets_.size()));
-  Net net;
-  net.name = key;
-  nets_.push_back(std::move(net));
-  net_by_name_.emplace(std::move(key), id);
-  return id;
+  if (net_by_name_.contains(name))
+    throw std::invalid_argument("duplicate net name: " + std::string(name));
+  return append_net(name);
 }
 
 NetId Netlist::find_or_add_net(std::string_view name) {
   if (auto existing = find_net(name)) return *existing;
-  return add_net(name);
+  if (name.empty()) throw std::invalid_argument("net name must not be empty");
+  return append_net(name);
+}
+
+NetId Netlist::append_net(std::string_view name) {
+  const NetId id(static_cast<std::uint32_t>(nets_.size()));
+  Net net;
+  net.name = name;
+  nets_.push_back(std::move(net));
+  net_by_name_.emplace(name, id);
+  return id;
+}
+
+void Netlist::reserve(std::size_t nets, std::size_t gates) {
+  nets_.reserve(nets);
+  net_by_name_.reserve(nets);
+  gates_.reserve(gates);
 }
 
 GateId Netlist::add_gate(GateType type, NetId output,
@@ -90,7 +100,7 @@ std::vector<GateId> Netlist::gates_in_file_order() const {
 }
 
 std::optional<NetId> Netlist::find_net(std::string_view name) const {
-  const auto it = net_by_name_.find(std::string(name));
+  const auto it = net_by_name_.find(name);
   if (it == net_by_name_.end()) return std::nullopt;
   return it->second;
 }

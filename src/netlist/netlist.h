@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,6 +57,10 @@ class Netlist {
   // Returns the existing net with this name or creates it.
   NetId find_or_add_net(std::string_view name);
 
+  // Pre-sizes storage for this many nets and gates (a loader that has
+  // counted its lines calls this once, before adding anything).
+  void reserve(std::size_t nets, std::size_t gates);
+
   // Creates a gate driving `output` from `inputs`, appended at the end of the
   // file order.  Throws std::invalid_argument on arity violations or if
   // `output` already has a driver.
@@ -100,10 +105,22 @@ class Netlist {
   std::size_t combinational_gate_count() const;
 
  private:
+  // Transparent hashing: lookups by string_view build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
+  // Appends a net known not to exist yet.
+  NetId append_net(std::string_view name);
+
   std::string name_;
   std::vector<Net> nets_;
   std::vector<Gate> gates_;
-  std::unordered_map<std::string, NetId> net_by_name_;
+  std::unordered_map<std::string, NetId, NameHash, std::equal_to<>>
+      net_by_name_;
 };
 
 }  // namespace netrev::netlist

@@ -5,8 +5,12 @@
 namespace netrev::pipeline {
 
 ArtifactCache& ArtifactCache::global() {
-  static ArtifactCache cache;
-  return cache;
+  // Never destroyed: at exit the OS reclaims the cached artifacts far faster
+  // than their destructors free them one node at a time (tens of ms for a
+  // large design's netlist and view).  The pointer keeps the cache
+  // reachable, so leak checkers do not report it.
+  static ArtifactCache* const cache = new ArtifactCache;
+  return *cache;
 }
 
 std::size_t ArtifactCache::size() const {

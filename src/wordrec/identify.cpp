@@ -341,25 +341,55 @@ GroupOutcome process_group(const Netlist& nl,
   return outcome;
 }
 
+// True iff some flop's D input is its own output.  The levelization accepts
+// such a loop (a flop output is previous-cycle state) but
+// analysis::combinational_sccs reports it as a one-gate cycle, so the
+// pre-pass in identify_words() must still run the SCC sweep for it.
+bool flop_reads_own_output(const netlist::CompactView& view) {
+  for (std::uint32_t flop : view.flop_gates())
+    for (std::uint32_t in : view.fanin(flop))
+      if (in == view.gate_output(flop)) return true;
+  return false;
+}
+
 }  // namespace
 
 IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   perf::Stage stage("identify");
   exec::chaos_point("identify");
 
-  // Mandatory structural pre-pass (one cheap SCC sweep): a combinational
-  // cycle would poison cone hashing and constant propagation downstream, so
-  // abort with a diagnostic naming the loop instead of computing nonsense.
-  // Callers with damaged inputs repair first (netlist::repair +
-  // analysis::break_combinational_cycles — the CLI's --permissive path).
-  analysis::require_acyclic(nl);
+  // Data-oriented core: flatten the design once so every cone walk and
+  // hashing recursion of this run iterates CSR arrays.  Callers that pass a
+  // prebuilt view (the Session's cached artifact) skip the build; the view
+  // must be installed before the hasher is constructed (it copies options).
+  // Constant propagation always runs on a view, so --legacy-core builds one
+  // for the reduction trials alone.
+  Options options = options_in;
+  std::optional<netlist::CompactView> local_view;
+  if (options.compact == nullptr) {
+    perf::Stage compact_stage("compact");
+    local_view.emplace(netlist::CompactView::build(nl));
+    if (options.use_compact) options.compact = &*local_view;
+  }
+  const netlist::CompactView& view =
+      options.compact != nullptr ? *options.compact : *local_view;
+
+  // Mandatory structural pre-pass: a combinational cycle would poison cone
+  // hashing and constant propagation downstream, so abort with a diagnostic
+  // naming the loop instead of computing nonsense.  The view's levelization
+  // already answers whether a cycle exists; only a design it rejects (or
+  // one with a flop reading its own output, see flop_reads_own_output) pays
+  // for the SCC sweep that names the cycle.  Callers with damaged inputs repair first
+  // (netlist::repair + analysis::break_combinational_cycles — the CLI's
+  // --permissive path).
+  if (!view.acyclic() || flop_reads_own_output(view))
+    analysis::require_acyclic(nl);
 
   // Wire up the cone-work resource guard: all cone walks of this run charge
   // one shared budget, so a runaway input aborts with ResourceLimitError
   // instead of hanging.  An armed checkpoint also routes through the budget
-  // (strided polls per visited net), making every cone walk cancellable.
+  // (one poll per 1024 visited nets), making every cone walk cancellable.
   WorkBudget local_budget(options_in.max_cone_work);
-  Options options = options_in;
   if (options.cone_budget == nullptr &&
       (options.max_cone_work != 0 || options.checkpoint.armed())) {
     // Both locals share this frame's lifetime, so the budget's non-owning
@@ -381,21 +411,6 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
                               .constant_mask();
     options.constant_nets = &local_constant_mask;
   }
-
-  // Data-oriented core: flatten the design once so every cone walk and
-  // hashing recursion of this run iterates CSR arrays.  Callers that pass a
-  // prebuilt view (the Session's cached artifact) skip the build; the view
-  // must be installed before the hasher is constructed (it copies options).
-  // Constant propagation always runs on a view, so --legacy-core builds one
-  // for the reduction trials alone.
-  std::optional<netlist::CompactView> local_view;
-  if (options.compact == nullptr) {
-    perf::Stage compact_stage("compact");
-    local_view.emplace(netlist::CompactView::build(nl));
-    if (options.use_compact) options.compact = &*local_view;
-  }
-  const netlist::CompactView& view =
-      options.compact != nullptr ? *options.compact : *local_view;
 
   const ConeHasher hasher(nl, options);
   IdentifyResult result;
@@ -453,6 +468,11 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   result.used_control_signals.assign(used_signals.begin(), used_signals.end());
   std::sort(result.used_control_signals.begin(),
             result.used_control_signals.end());
+  // Cone-walk work of this run (exact at any job count; see WorkBudget).  A
+  // caller-shared budget may span several runs, so only the local one is
+  // reported.
+  if (options.cone_budget == &local_budget)
+    perf::Profiler::global().count("cone_work", local_budget.spent());
   return result;
 }
 

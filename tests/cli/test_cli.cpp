@@ -621,6 +621,10 @@ TEST(Cli, ProfileJsonReportsPropagationWorkIndependentOfJobs) {
   const std::uint64_t nets = profile_counter(serial_profile, "nets_assigned");
   EXPECT_GT(nets, 0u) << serial_profile;
   EXPECT_EQ(profile_counter(parallel_profile, "nets_assigned"), nets);
+  // Cone-walk work is charged in per-walk strides; the total is still exact.
+  const std::uint64_t cone_work = profile_counter(serial_profile, "cone_work");
+  EXPECT_GT(cone_work, 0u) << serial_profile;
+  EXPECT_EQ(profile_counter(parallel_profile, "cone_work"), cone_work);
 
   // Telemetry never reaches the result bytes.
   const CliRun plain = run({"identify", "b08s", "--json"});
@@ -628,6 +632,7 @@ TEST(Cli, ProfileJsonReportsPropagationWorkIndependentOfJobs) {
   EXPECT_EQ(parallel_result, plain.out);
   EXPECT_EQ(plain.out.find("nets_assigned"), std::string::npos);
   EXPECT_EQ(plain.out.find("propagate"), std::string::npos);
+  EXPECT_EQ(plain.out.find("cone_work"), std::string::npos);
 }
 
 TEST(Cli, JobsFlagAcceptedAndOutputMatchesSerial) {

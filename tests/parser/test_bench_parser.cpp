@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
+
+#include "itc/family.h"
 #include "netlist/validate.h"
 #include "parser/lexer.h"
+#include "pipeline/fingerprint.h"
 #include "pipeline/session.h"
 
 namespace netrev::parser {
@@ -183,6 +189,92 @@ TEST(BenchParser, StrictOverloadMatchesLegacyOutput) {
   const auto strict = parse_bench(kSample, ParseOptions{}, diags);
   EXPECT_TRUE(diags.empty());
   EXPECT_EQ(write_bench(legacy), write_bench(strict));
+}
+
+// Loader pins: every Table 1 design, written with write_bench and parsed
+// back, must come out as exactly this netlist — net ids (inputs, outputs,
+// then gate outputs and arguments in file order), names, port flags and
+// gates.  Recorded from the parser that split the source into std::string
+// lines, before it moved to views into the source.
+struct ParsePin {
+  const char* design;
+  std::uint64_t fingerprint;  // pipeline::netlist_fingerprint
+};
+
+void PrintTo(const ParsePin& pin, std::ostream* out) { *out << pin.design; }
+
+const ParsePin kParsePins[] = {
+    {"b03s", 0x48a22c49fd688f50ull}, {"b04s", 0xb59423692c0b61e1ull},
+    {"b05s", 0xbf05a561629018aeull}, {"b07s", 0x8dad5051d5d09ab6ull},
+    {"b08s", 0x17f7c88490f89668ull}, {"b11s", 0x25abf520ced04254ull},
+    {"b12s", 0x431c2e701e3e9d16ull}, {"b13s", 0x9a9f87ae620df39aull},
+    {"b14s", 0x56b06dac269a0a8dull}, {"b15s", 0x744268a11618e1fbull},
+    {"b17s", 0xd4e2c046b423d4b6ull}, {"b18s", 0xdcd4bf45315605b7ull},
+};
+
+std::string family_bench(const char* design) {
+  return write_bench(itc::build_benchmark(design).netlist);
+}
+
+class BenchParsePins : public ::testing::TestWithParam<ParsePin> {};
+
+TEST_P(BenchParsePins, RoundTripMatchesPinnedFingerprint) {
+  const ParsePin& pin = GetParam();
+  EXPECT_EQ(pipeline::netlist_fingerprint(parse_bench(family_bench(pin.design))),
+            pin.fingerprint);
+}
+
+INSTANTIATE_TEST_SUITE_P(Family, BenchParsePins,
+                         ::testing::ValuesIn(kParsePins));
+
+TEST(BenchParser, CrlfCommentsAndNoFinalNewlineParseToThePinnedNetlist) {
+  // The same b03s text with CRLF line endings, a comment on every line, a
+  // comment-only line between lines, and no newline after the last line.
+  const std::string clean = family_bench("b03s");
+  std::string messy = "# header\r\n";
+  std::size_t start = 0;
+  while (start < clean.size()) {
+    const std::size_t end = clean.find('\n', start);
+    messy += clean.substr(start, end - start) + "  # note\r\n#\r\n";
+    start = end + 1;
+  }
+  messy.resize(messy.size() - 5);  // drop the final "\r\n#\r\n"
+  ASSERT_NE(messy.back(), '\n');
+  EXPECT_EQ(pipeline::netlist_fingerprint(parse_bench(messy)),
+            kParsePins[0].fingerprint);
+}
+
+TEST(BenchParser, CrlfAndNoFinalNewlineKeepDiagnosticPositions) {
+  // Columns are file columns with comments and CRs present; a last line
+  // without a newline is still numbered and parsed.
+  const std::string source =
+      "INPUT(a)\r\n# c\r\ny = NOT(a)  # t\r\n  z = BAD(a)\r\nw = AND(a, )";
+  diag::Diagnostics diags;
+  ParseOptions options;
+  options.permissive = true;
+  const auto nl = parse_bench(source, options, diags);
+  EXPECT_EQ(nl.gate_count(), 1u);
+  ASSERT_EQ(diags.entries().size(), 2u);
+  EXPECT_EQ(diags.entries()[0].location.line, 5u);  // empty argument
+  EXPECT_EQ(diags.entries()[0].location.column, 11u);
+  EXPECT_EQ(diags.entries()[1].location.line, 4u);  // unknown function
+  EXPECT_EQ(diags.entries()[1].location.column, 7u);
+}
+
+TEST(BenchParser, FinalNewlineEndsOneMoreLine) {
+  // A file ending in a newline has an empty last line, and limit failures
+  // found after the scan name it.
+  ParseOptions options;
+  options.permissive = true;
+  options.limits.max_nets = 1;
+  diag::Diagnostics with_newline;
+  (void)parse_bench("INPUT(a)\nINPUT(b)\n", options, with_newline);
+  ASSERT_FALSE(with_newline.entries().empty());
+  EXPECT_EQ(with_newline.entries().back().location.line, 3u);
+  diag::Diagnostics without_newline;
+  (void)parse_bench("INPUT(a)\nINPUT(b)", options, without_newline);
+  ASSERT_FALSE(without_newline.entries().empty());
+  EXPECT_EQ(without_newline.entries().back().location.line, 2u);
 }
 
 }  // namespace
