@@ -79,7 +79,8 @@ int main() {
               base_found ? "YES" : "NO");
 
   // --- §2.3 partial matching -----------------------------------------------
-  const wordrec::ConeHasher hasher(nl, options);
+  const netlist::CompactView view = netlist::CompactView::build(nl);
+  const wordrec::ConeHasher hasher(view, options);
   std::printf("[Ours] dissimilar subtrees across adjacent bits: %zu\n",
               dissimilar_count(hasher, fig.word_bits, nullptr));
 
@@ -99,13 +100,12 @@ int main() {
         dissimilar_roots.push_back(r);
   }
   const auto signals =
-      wordrec::find_relevant_control_signals(nl, dissimilar_roots, options);
+      wordrec::find_relevant_control_signals(view, dissimilar_roots, options);
   std::printf("[Ours] relevant control signals:");
   for (netlist::NetId s : signals) std::printf(" %s", name(s));
   std::printf("  (paper: U201 U221; U223 dominated)\n");
 
   // --- §2.5 assignments ------------------------------------------------------
-  const netlist::CompactView view = netlist::CompactView::build(nl);
   const auto try_assignment = [&](netlist::NetId signal, bool value) {
     const std::pair<netlist::NetId, bool> seeds[] = {{signal, value}};
     const wordrec::PropagationResult prop = wordrec::propagate(view, seeds);

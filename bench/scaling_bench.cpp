@@ -79,7 +79,8 @@ BENCHMARK(BM_Grouping)->DenseRange(0, 10, 2);
 void BM_Signatures(benchmark::State& state) {
   const auto& bench = benchmark_at(static_cast<std::size_t>(state.range(0)));
   const wordrec::Options options;
-  const wordrec::ConeHasher hasher(bench.netlist, options);
+  const netlist::CompactView view = netlist::CompactView::build(bench.netlist);
+  const wordrec::ConeHasher hasher(view, options);
   for (auto _ : state) {
     std::size_t total_subtrees = 0;
     for (std::size_t i = 0; i < bench.netlist.gate_count(); ++i) {
@@ -98,7 +99,8 @@ void BM_CompareBits(benchmark::State& state) {
   // The sorted-merge comparison on two wide-signature bits.
   const auto& bench = benchmark_at(9);  // b14s: 30-bit words
   const wordrec::Options options;
-  const wordrec::ConeHasher hasher(bench.netlist, options);
+  const netlist::CompactView view = netlist::CompactView::build(bench.netlist);
+  const wordrec::ConeHasher hasher(view, options);
   const auto& bits = bench.word_bits.begin()->second;
   const auto sig_a = hasher.signature(bits[0]);
   const auto sig_b = hasher.signature(bits[1]);
@@ -182,27 +184,8 @@ BENCHMARK(BM_SampleVectorsJobs)
 
 // --- data-oriented core (BENCH_core.json) ---------------------------------
 //
-// The before/after pair for 64-way bit-parallel random simulation: the
-// scalar oracle evaluates one vector per pass over the levelized order; the
-// packed engine evaluates 64 vectors per pass, one uint64_t lane word per
-// net.  Both produce byte-identical samples (tests/sim/test_packed.cpp), so
-// the ratio is pure throughput.
-void BM_SampleScalar(benchmark::State& state) {
-  const auto& bench = benchmark_at(static_cast<std::size_t>(state.range(0)));
-  const auto probes = all_word_probes(bench);
-  for (auto _ : state) {
-    auto samples = sim::sample_random_vectors_scalar(bench.netlist, probes,
-                                                     /*vector_count=*/512,
-                                                     0x5EED);
-    benchmark::DoNotOptimize(samples);
-  }
-  state.counters["gates"] =
-      static_cast<double>(bench.netlist.gate_count());
-  state.counters["vectors_per_s"] = benchmark::Counter(
-      512, benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_SampleScalar)->DenseRange(0, 10, 2)->Unit(benchmark::kMillisecond);
-
+// 64-way bit-parallel random simulation: 64 vectors per pass over the
+// levelized order, one uint64_t lane word per net.
 void BM_SamplePacked(benchmark::State& state) {
   const auto& bench = benchmark_at(static_cast<std::size_t>(state.range(0)));
   const auto probes = all_word_probes(bench);
@@ -238,8 +221,7 @@ void BM_CompactBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactBuild)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
-// The million-gate identify sweep (compact core vs the legacy pointer core)
-// on the giant family.  Run with --benchmark_filter=Giant; b21s holds ~2M
+// The million-gate identify sweep on the giant family.  Run with --benchmark_filter=Giant; b21s holds ~2M
 // gates, so expect minutes per row on a laptop-class host.
 void BM_GiantIdentify(benchmark::State& state) {
   const auto& bench = giant_at(static_cast<std::size_t>(state.range(0)));
@@ -251,22 +233,6 @@ void BM_GiantIdentify(benchmark::State& state) {
       static_cast<double>(bench.netlist.gate_count());
 }
 BENCHMARK(BM_GiantIdentify)
-    ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_GiantIdentifyLegacy(benchmark::State& state) {
-  const auto& bench = giant_at(static_cast<std::size_t>(state.range(0)));
-  wordrec::Options options;
-  options.use_compact = false;
-  for (auto _ : state) {
-    auto result = wordrec::identify_words(bench.netlist, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["gates"] =
-      static_cast<double>(bench.netlist.gate_count());
-}
-BENCHMARK(BM_GiantIdentifyLegacy)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

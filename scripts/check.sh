@@ -18,7 +18,7 @@
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require its SHA-256 to equal the checked-in
 #      digest (scripts/golden/identify_b19s.sha256), and require
-#      byte-identical output between the compact core, --legacy-core, and
+#      byte-identical output at the default job count, --jobs 1 and
 #      --jobs 8
 #   9. batch smoke gate: `netrev batch` over the family benchmarks twice must
 #      emit byte-identical JSON at different job counts, and a batch with
@@ -40,6 +40,9 @@
 #      a journal `--resume` converges from; and a `serve --isolate` daemon
 #      must answer a worker crash with a structured error, keep serving,
 #      and still drain cleanly
+#  14. perfbench gate: the benchmark's self-tests, which build perfbench/
+#      (its tools link the netrev libraries) from this checkout, so an API
+#      change that breaks the benchmark build fails here
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -107,7 +110,7 @@ cmake -B "$TSAN_DIR" -S . \
 cmake --build "$TSAN_DIR" -j"$(nproc)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$TSAN_DIR" -j"$(nproc)" \
   --output-on-failure \
-  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift'
+  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Cli.Sigint'
 
 # Jobs-determinism gate: the full CLI output (evaluation + analysis JSON)
 # must not depend on the worker count.
@@ -120,35 +123,33 @@ for family in b03s b04s b08s b11s b13s; do
   diff "$JOBS_DIR/$family.j1.json" "$JOBS_DIR/$family.jN.json"
 done
 
-# Giant-family smoke gate: the data-oriented core at scale.  Generate the
+# Giant-family smoke gate: the analysis core at scale.  Generate the
 # smallest giant profile (b19s, ~262K gates), identify it under a hard time
-# budget, and require the compact core's output to match the checked-in
-# digest and to be byte-identical to the legacy pointer core and to itself
-# at --jobs 8.  Both cores share one constant-propagation kernel, so the
-# compact-vs-legacy diff cannot see a change in the reduction trials; the
-# digest, recorded before that kernel moved onto CompactView, can.
+# budget, and require the output to match the checked-in digest (recorded
+# before constant propagation and cone hashing moved onto CompactView) and
+# to be byte-identical at the default job count, --jobs 1 and --jobs 8.
 # Sanitized debug builds run several times slower than release, hence the
 # generous budget; a hang or a byte diff is what this gate exists to catch.
 GIANT_DIR="$BUILD_DIR/giant-smoke"
 mkdir -p "$GIANT_DIR"
 echo "giant-smoke: generate b19s"
 timeout 300 "$NETREV" generate b19s -o "$GIANT_DIR" > /dev/null
-echo "giant-smoke: identify (compact core)"
-timeout 1800 "$NETREV" identify b19s --json > "$GIANT_DIR/compact.json"
+echo "giant-smoke: identify (default jobs)"
+timeout 1800 "$NETREV" identify b19s --json > "$GIANT_DIR/default.json"
 echo "giant-smoke: digest"
-if [ "$(sha256sum < "$GIANT_DIR/compact.json" | cut -d' ' -f1)" != \
+if [ "$(sha256sum < "$GIANT_DIR/default.json" | cut -d' ' -f1)" != \
      "$(cat scripts/golden/identify_b19s.sha256)" ]; then
   echo "giant-smoke: identify b19s digest differs from the golden record"
   exit 1
 fi
-echo "giant-smoke: identify (--legacy-core)"
-timeout 1800 "$NETREV" identify b19s --json --legacy-core \
-  > "$GIANT_DIR/legacy.json"
-diff "$GIANT_DIR/compact.json" "$GIANT_DIR/legacy.json"
+echo "giant-smoke: identify (--jobs 1)"
+timeout 1800 "$NETREV" identify b19s --json --jobs 1 \
+  > "$GIANT_DIR/jobs1.json"
+diff "$GIANT_DIR/default.json" "$GIANT_DIR/jobs1.json"
 echo "giant-smoke: identify (--jobs 8)"
 timeout 1800 "$NETREV" identify b19s --json --jobs 8 \
   > "$GIANT_DIR/jobs8.json"
-diff "$GIANT_DIR/compact.json" "$GIANT_DIR/jobs8.json"
+diff "$GIANT_DIR/default.json" "$GIANT_DIR/jobs8.json"
 
 # Batch smoke gate.  The artifact cache is in-memory, so cross-invocation
 # hits cannot exist; instead (a) two independent runs at different job counts
@@ -387,4 +388,10 @@ wait "$CHAOS_SERVE_PID" || CHAOS_SERVE_RC=$?
   exit 1
 }
 
-echo "check.sh: tidy + doc-links + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke all passed"
+# Perfbench gate.  The benchmark builds its tools against src/ in a tree of
+# its own; its self-tests check the generator and the work counters.
+echo "perfbench: self-tests"
+CARGO_TARGET_DIR="$BUILD_DIR/perfbench" \
+  python3 -m unittest discover -s perfbench/tests
+
+echo "check.sh: tidy + doc-links + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke + perfbench all passed"

@@ -86,12 +86,16 @@ std::vector<CombinationalScc> combinational_sccs(const Netlist& nl) {
           members.push_back(m);
           if (m == g) break;
         }
-        // Nontrivial: several gates, or one gate reading its own output.
+        // Nontrivial: several gates, or one combinational gate reading its
+        // own output.  A flop reading its own output is previous-cycle
+        // state, not a combinational loop (the dependency edges above drop
+        // flop drivers for the same reason).
         bool self_loop = false;
         if (members.size() == 1) {
           const netlist::Gate& gate = nl.gate(nl.gate_id_at(members[0]));
-          for (netlist::NetId in : gate.inputs)
-            if (in == gate.output) self_loop = true;
+          if (gate.type != GateType::kDff)
+            for (netlist::NetId in : gate.inputs)
+              if (in == gate.output) self_loop = true;
         }
         if (members.size() > 1 || self_loop) {
           std::sort(members.begin(), members.end());

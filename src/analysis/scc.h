@@ -24,8 +24,10 @@ struct CombinationalScc {
   std::vector<netlist::NetId> nets;
 };
 
-// All nontrivial combinational SCCs, deterministic order (by smallest member
-// gate id).  Empty result == the combinational logic is acyclic.
+// All nontrivial combinational SCCs — several gates, or one combinational
+// gate reading its own output (a flop doing so is previous-cycle state) —
+// in deterministic order (by smallest member gate id).  Empty result == the
+// combinational logic is acyclic == sim::levelize succeeds.
 std::vector<CombinationalScc> combinational_sccs(const netlist::Netlist& nl);
 
 // "x -> y -> z -> x" over the SCC's driven net names; long cycles elide the

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -63,7 +65,6 @@ RunConfig config_from(const ParsedFlags& flags) {
     config.wordrec.max_simultaneous_assignments = *flags.max_assign;
   config.wordrec.cross_group_checking = flags.cross_group;
   config.wordrec.use_dataflow = flags.use_dataflow;
-  config.wordrec.use_compact = !flags.legacy_core;
   config.analysis.enabled_rules = flags.rules;
   if (flags.no_verify) config.lift.verify = false;
   if (flags.vectors) config.lift.verify_vectors = *flags.vectors;
@@ -79,69 +80,92 @@ RunConfig config_from(const ParsedFlags& flags) {
 }
 
 // --- SIGINT -> cancel token ------------------------------------------------
-// The handler may only touch async-signal-safe state, so it stores through
-// the token's raw atomic flag; everything else (journal flush, exit code
-// 130) happens on the normal path once the in-flight entries observe the
-// flag and unwind.
+// A handler may run on any thread at any moment, including just after a
+// guard is gone and the token it armed has been freed, so it stores only
+// into flags with static storage duration: one of a fixed set of slots.
+// Each guard claims a slot and links its token to it (CancelToken::link);
+// everything else (journal flush, exit code 130) happens on the normal path
+// once the in-flight entries observe the cancellation and unwind.
 
-// The pointer itself is atomic: the handler may run on any thread, not just
-// the one that installed it (a lock-free atomic is async-signal-safe).
-std::atomic<std::atomic<bool>*> g_sigint_flag{nullptr};
+constexpr int kSigintSlots = 8;
+std::atomic<bool> g_sigint_slots[kSigintSlots];
+std::atomic<std::uint32_t> g_sigint_claimed{0};  // bit i: slot i in use
+// The slot the handler raises, or -1.  Atomic because the handler may run
+// on any thread (a lock-free atomic is async-signal-safe).
+std::atomic<int> g_sigint_slot{-1};
 
 void handle_sigint(int) {
-  if (std::atomic<bool>* flag = g_sigint_flag.load(std::memory_order_acquire))
-    flag->store(true, std::memory_order_relaxed);
+  const int slot = g_sigint_slot.load();
+  if (slot >= 0) g_sigint_slots[slot].store(true);
 }
 
 class SigintGuard {
  public:
   explicit SigintGuard(exec::CancelToken& token)
-      : previous_flag_(g_sigint_flag.load(std::memory_order_acquire)) {
-    g_sigint_flag.store(token.flag(), std::memory_order_release);
+      : token_(token),
+        previous_slot_(g_sigint_slot.load()) {
+    std::uint32_t claimed = g_sigint_claimed.load();
+    do {
+      slot_ = std::countr_one(claimed);
+      if (slot_ >= kSigintSlots) return;  // all claimed: not cancellable
+    } while (!g_sigint_claimed.compare_exchange_weak(
+        claimed, claimed | (std::uint32_t{1} << slot_)));
+    g_sigint_slots[slot_].store(false);
+    token_.link(&g_sigint_slots[slot_]);
+    g_sigint_slot.store(slot_);
     previous_ = std::signal(SIGINT, handle_sigint);
   }
   ~SigintGuard() {
+    if (slot_ >= kSigintSlots) return;
     std::signal(SIGINT, previous_);
-    // Restore (not null) so guards nest: run_cli arms every command, and
+    // Restore (not clear) so guards nest: run_cli arms every command, and
     // cmd_batch layers its own token over it for the batch window.
-    g_sigint_flag.store(previous_flag_, std::memory_order_release);
+    g_sigint_slot.store(previous_slot_);
+    // The token outlives the guard: keep a raised slot's verdict in it.
+    if (g_sigint_slots[slot_].load()) token_.request_cancel();
+    token_.link(nullptr);
+    g_sigint_claimed.fetch_and(~(std::uint32_t{1} << slot_));
   }
   SigintGuard(const SigintGuard&) = delete;
   SigintGuard& operator=(const SigintGuard&) = delete;
 
  private:
-  std::atomic<bool>* previous_flag_;
+  exec::CancelToken& token_;
+  int previous_slot_;
+  int slot_ = 0;
   void (*previous_)(int) = nullptr;
 };
 
 // --- SIGTERM/SIGINT -> serve drain -----------------------------------------
-// serve turns both signals into a graceful drain: the handler stores into
-// the server's drain flag (async-signal-safe), and the accept loop observes
-// it within one poll tick.
+// serve turns both signals into a graceful drain: the handler stores into a
+// static flag (async-signal-safe, and never freed) that the server's accept
+// loop watches and observes within one poll tick.
 
-std::atomic<std::atomic<bool>*> g_drain_flag{nullptr};  // as g_sigint_flag
+std::atomic<bool> g_drain_signalled{false};
 
 void handle_drain_signal(int) {
-  if (std::atomic<bool>* flag = g_drain_flag.load(std::memory_order_acquire))
-    flag->store(true, std::memory_order_relaxed);
+  g_drain_signalled.store(true);
 }
 
 class DrainSignalGuard {
  public:
-  explicit DrainSignalGuard(std::atomic<bool>* flag) {
-    g_drain_flag.store(flag, std::memory_order_release);
+  explicit DrainSignalGuard(pipeline::serve::Server& server)
+      : server_(server) {
+    g_drain_signalled.store(false);
+    server_.drain_on(&g_drain_signalled);
     previous_term_ = std::signal(SIGTERM, handle_drain_signal);
     previous_int_ = std::signal(SIGINT, handle_drain_signal);
   }
   ~DrainSignalGuard() {
     std::signal(SIGTERM, previous_term_);
     std::signal(SIGINT, previous_int_);
-    g_drain_flag.store(nullptr, std::memory_order_release);
+    server_.drain_on(nullptr);
   }
   DrainSignalGuard(const DrainSignalGuard&) = delete;
   DrainSignalGuard& operator=(const DrainSignalGuard&) = delete;
 
  private:
+  pipeline::serve::Server& server_;
   void (*previous_term_)(int) = nullptr;
   void (*previous_int_)(int) = nullptr;
 };
@@ -158,7 +182,6 @@ std::vector<std::string> worker_config_args(const ParsedFlags& flags) {
   if (flags.permissive) args.emplace_back("--permissive");
   if (flags.cross_group) args.emplace_back("--cross-group");
   if (flags.use_dataflow) args.emplace_back("--use-dataflow");
-  if (flags.legacy_core) args.emplace_back("--legacy-core");
   if (flags.no_verify) args.emplace_back("--no-verify");
   const auto add = [&args](const char* name, std::size_t value) {
     args.emplace_back(name);
@@ -378,8 +401,11 @@ int cmd_propagate(const ParsedFlags& flags, std::ostream& out) {
   const LoadedDesign design = load_design(flags.positional[0], flags);
   const Netlist& nl = design.nl();
   const auto result = flags.session->identify(design);
-  const auto propagated = wordrec::propagate_words_to_fixpoint(
-      nl, result->words, flags.session->config().wordrec);
+  wordrec::Options options = flags.session->config().wordrec;
+  const auto view = flags.session->compact(design);
+  options.compact = view.get();
+  const auto propagated =
+      wordrec::propagate_words_to_fixpoint(nl, result->words, options);
   out << "seeded with " << result->words.count_multibit()
       << " identified word(s); propagation derived "
       << propagated.candidates.size() << " candidate word(s) ("
@@ -447,13 +473,9 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
   // techniques may be applied after" note).
   const auto flagged = [&] {
     perf::Stage stage("funcheck");
-    // The cached view feeds the bit-parallel sampler; --legacy-core screens
-    // on the scalar path (identical samples either way).
-    if (session.config().wordrec.use_compact) {
-      const auto view = session.compact(design);
-      return wordrec::suspicious_words(nl, words, 64, 0x5EED, view.get());
-    }
-    return wordrec::suspicious_words(nl, words);
+    // The cached view feeds the bit-parallel sampler.
+    const auto view = session.compact(design);
+    return wordrec::suspicious_words(nl, words, 64, 0x5EED, view.get());
   }();
   if (!flagged.empty()) {
     out << "functionally suspicious generated words: " << flagged.size()
@@ -788,7 +810,7 @@ int cmd_serve(const ParsedFlags& flags, std::ostream& out, std::ostream& err) {
   out << "netrev serve listening on " << server.endpoint() << '\n';
   out.flush();
 
-  DrainSignalGuard drain_guard(server.drain_flag());
+  DrainSignalGuard drain_guard(server);
   const ExitCode code = server.run();
   out << "netrev serve " << exit_code_name(code) << '\n';
   return exit_code(code);

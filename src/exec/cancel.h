@@ -50,24 +50,38 @@ class DeadlineExceededError : public std::runtime_error {
 enum class StopReason { kNone, kCancelled, kDeadline };
 
 // Shared cancellation flag.  Copies observe the same flag; the flag is a
-// lock-free atomic so request_cancel() is safe from a signal handler
-// (provided the token outlives the handler's window — the CLI keeps the
-// batch token alive for the whole command).
+// lock-free atomic, so request_cancel() never blocks.  A signal handler must
+// not store into a token (its state may be freed while the handler still
+// runs on another thread): it stores into a flag with static storage
+// duration instead, and the token is link()ed to that flag.
 class CancelToken {
  public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
+  CancelToken() : state_(std::make_shared<State>()) {}
 
-  void request_cancel() { flag_->store(true, std::memory_order_relaxed); }
+  void request_cancel() {
+    state_->flag.store(true, std::memory_order_relaxed);
+  }
   bool cancel_requested() const {
-    return flag_->load(std::memory_order_relaxed);
+    if (state_->flag.load(std::memory_order_relaxed)) return true;
+    const std::atomic<bool>* linked = state_->linked.load();
+    return linked != nullptr && linked->load();
   }
 
-  // The raw flag, for contexts restricted to async-signal-safe operations
-  // (the CLI's SIGINT handler stores through this pointer directly).
-  std::atomic<bool>* flag() { return flag_.get(); }
+  // Also report cancellation while `*source` is set (for every copy);
+  // nullptr unlinks.  `source` must outlive the link.
+  void link(const std::atomic<bool>* source) {
+    state_->linked.store(source);
+  }
+
+  // The token's own flag; copies return the same pointer.
+  std::atomic<bool>* flag() { return &state_->flag; }
 
  private:
-  std::shared_ptr<std::atomic<bool>> flag_;
+  struct State {
+    std::atomic<bool> flag{false};
+    std::atomic<const std::atomic<bool>*> linked{nullptr};
+  };
+  std::shared_ptr<State> state_;
 };
 
 // A wall-clock deadline on the steady clock.  Default-constructed =

@@ -17,12 +17,11 @@
 // loaded design, so one build per design identity suffices.
 //
 // Determinism contract: the CSR traversals below visit nets in exactly the
-// order the legacy walks in cone.h do, and charge an attached WorkBudget
-// exactly the same total per walk (in strides of up to
-// WorkBudget::kPollStride rather than one unit per net), so switching
-// between the legacy and compact cores never changes any output byte —
-// including which walk trips a resource limit (asserted by
-// tests/netlist/test_compact.cpp).
+// order the pointer-netlist walks in cone.h do, and charge an attached
+// WorkBudget exactly the same total per walk (in strides of up to
+// WorkBudget::kPollStride rather than one unit per net), including which
+// walk trips a resource limit (asserted by tests/netlist/test_compact.cpp,
+// which keeps cone.h as the oracle).
 #pragma once
 
 #include <cstddef>

@@ -358,7 +358,12 @@ ExitCode Server::run() {
 
   // Accept loop: poll with a short tick so the signal-set drain flag is
   // observed within ~50ms without any async-signal-unsafe work in handlers.
-  while (!drain_requested_.load(std::memory_order_relaxed)) {
+  const auto drain_due = [this] {
+    if (drain_requested_.load(std::memory_order_relaxed)) return true;
+    const std::atomic<bool>* signal = drain_signal_.load();
+    return signal != nullptr && signal->load();
+  };
+  while (!drain_due()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 50);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the drain flag

@@ -94,12 +94,17 @@ class Server : public protocol::HealthSource {
   // start().
   ExitCode run();
 
-  // Begins graceful drain.  Callable from any thread; signal handlers must
-  // store through drain_flag() instead (the only async-signal-safe entry).
+  // Begins graceful drain.  Callable from any thread, but not from a signal
+  // handler: the server may be destroyed while a handler still runs.
   void request_drain() {
     drain_requested_.store(true, std::memory_order_relaxed);
   }
-  std::atomic<bool>* drain_flag() { return &drain_requested_; }
+  // Also begins draining once `*signal_flag` is set: a flag with static
+  // storage duration that a signal handler stores into (the accept loop
+  // observes it within one poll tick).  nullptr stops watching.
+  void drain_on(const std::atomic<bool>* signal_flag) {
+    drain_signal_.store(signal_flag);
+  }
 
   // The resolved TCP port (after start(); 0 for Unix sockets).
   int port() const { return port_; }
@@ -146,6 +151,7 @@ class Server : public protocol::HealthSource {
   int retire_pipe_[2] = {-1, -1};
   int port_ = 0;
   std::atomic<bool> drain_requested_{false};
+  std::atomic<const std::atomic<bool>*> drain_signal_{nullptr};
   std::atomic<std::uint64_t> next_request_id_{1};
 
   mutable std::mutex mutex_;          // guards the five fields below

@@ -303,11 +303,8 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
   // Resolve the compact core from the cached stage so repeated identifies
   // share one flattening pass.  The shared_ptr keeps the view alive past
   // the identify_words call; like the mask above, it never keys artifacts.
-  std::shared_ptr<const netlist::CompactView> view;
-  if (options.use_compact && options.compact == nullptr) {
-    view = compact(design);
-    options.compact = view.get();
-  }
+  const std::shared_ptr<const netlist::CompactView> view = compact(design);
+  options.compact = view.get();
   // The degrade policy changes what a tripped run produces, so it is part of
   // the key; the deadline itself is not — an untripped deadline must share
   // cache entries with no deadline at all.
@@ -335,11 +332,8 @@ std::shared_ptr<const wordrec::WordSet> Session::identify_baseline(
   // no ladder of its own: a trip here propagates to the caller.
   wordrec::Options options = config_.wordrec;
   options.checkpoint = stage_checkpoint();
-  std::shared_ptr<const netlist::CompactView> view;
-  if (options.use_compact && options.compact == nullptr) {
-    view = compact(design);
-    options.compact = view.get();
-  }
+  const std::shared_ptr<const netlist::CompactView> view = compact(design);
+  options.compact = view.get();
   pipeline::ArtifactKey key{"identify_base", design.identity,
                             config_.wordrec_fingerprint()};
   return cache_->get_or_compute<wordrec::WordSet>(key, [&] {

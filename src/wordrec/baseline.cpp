@@ -1,5 +1,7 @@
 #include "wordrec/baseline.h"
 
+#include <optional>
+
 #include "common/resource_guard.h"
 #include "wordrec/grouping.h"
 #include "wordrec/matching.h"
@@ -20,7 +22,8 @@ WordSet identify_words_baseline(const netlist::Netlist& nl,
     options.cone_budget = &local_budget;
   }
 
-  const ConeHasher hasher(nl, options);
+  std::optional<netlist::CompactView> local_view;
+  const ConeHasher hasher(resolve_view(nl, options, local_view), options);
   WordSet result;
   std::vector<PotentialBitGroup> groups = potential_bit_groups(nl);
   if (options.cross_group_checking)

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 #include "wordrec/matching.h"
 #include "wordrec/options.h"
@@ -19,15 +20,16 @@ namespace netrev::wordrec {
 
 // Returns the relevant control signals for the dissimilar subtrees rooted at
 // `dissimilar_roots` (depth-limited to the subtree depth implied by
-// options.cone_depth).  Deterministic order (ascending net id).  Empty when
-// fewer than one dissimilar subtree exists or nothing is common.
+// options.cone_depth), walking the CSR arrays of `view`.  Deterministic
+// order (ascending net id).  Empty when fewer than one dissimilar subtree
+// exists or nothing is common.
 std::vector<netlist::NetId> find_relevant_control_signals(
-    const netlist::Netlist& nl, std::span<const netlist::NetId> dissimilar_roots,
-    const Options& options);
+    const netlist::CompactView& view,
+    std::span<const netlist::NetId> dissimilar_roots, const Options& options);
 
 // Convenience overload operating on a subgroup.
 std::vector<netlist::NetId> find_relevant_control_signals(
-    const netlist::Netlist& nl, const Subgroup& subgroup,
+    const netlist::CompactView& view, const Subgroup& subgroup,
     const Options& options);
 
 }  // namespace netrev::wordrec

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "netlist/compact.h"
 #include "perf/profile.h"
 #include "wordrec/collapse.h"
 
@@ -23,120 +22,34 @@ char leaf_primary_input(const Options& o) { return o.distinguish_leaf_kinds ? 'p
 char leaf_flop_output(const Options& o) { return o.distinguish_leaf_kinds ? 'f' : '*'; }
 char leaf_depth_cut(const Options& o) { return o.distinguish_leaf_kinds ? '_' : '*'; }
 
-// CSR twin of ConeHasher::subtree_key: same recursion, same key bytes, but
-// the per-level driver/type/fanin lookups are flat array reads instead of
-// optional-returning map walks.
-HashKey compact_subtree_key(const CompactView& view, const Options& options,
-                            std::uint32_t net, std::size_t depth,
-                            const AssignmentMap* assignment) {
-  if (assignment != nullptr) {
-    if (const auto v = assignment->value(NetId(net)))
-      return std::string(1, *v ? '1' : '0');
-  }
-
-  const std::uint32_t driver = view.driver(net);
-  if (driver == CompactView::kNoGate)
-    return std::string(1, leaf_primary_input(options));
-
+// Collects the fanins of `driver` left unassigned by `assignment` into
+// `live` and returns the gate's effective type once the assigned inputs are
+// dropped (collapse.h's rules).  Meaningless when `live` comes back empty:
+// the output would then be constant.
+GateType live_fanin(const CompactView& view, std::uint32_t driver,
+                    const AssignmentMap* assignment,
+                    std::vector<std::uint32_t>& live) {
   const GateType type = view.gate_type(driver);
-  if (type == GateType::kDff) return std::string(1, leaf_flop_output(options));
-  if (type == GateType::kConst0) return "0";
-  if (type == GateType::kConst1) return "1";
-  if (depth == 0) return std::string(1, leaf_depth_cut(options));
-
   const std::span<const std::uint32_t> inputs = view.fanin(driver);
-  std::vector<std::uint32_t> live;
+  if (assignment == nullptr) {
+    live.assign(inputs.begin(), inputs.end());
+    return type;
+  }
   live.reserve(inputs.size());
   bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live.assign(inputs.begin(), inputs.end());
-  } else {
-    for (std::uint32_t in : inputs) {
-      const auto v = assignment->value(NetId(in));
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      if (const auto cv = controlling_value(type)) NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
+  for (std::uint32_t in : inputs) {
+    const auto v = assignment->value(NetId(in));
+    if (!v) {
+      live.push_back(in);
+      continue;
     }
+    // Closure property of propagate(): a controlling input would have
+    // assigned this gate's output, and the output is unassigned here.
+    if (const auto cv = controlling_value(type)) NETREV_ASSERT(*v != *cv);
+    dropped_parity = dropped_parity != *v;
   }
-  NETREV_ASSERT(!live.empty() &&
-                "all-constant gate must have an assigned output");
-
-  const GateType effective =
-      (live.size() == inputs.size())
-          ? type
-          : collapsed_type(type, live.size(), dropped_parity);
-
-  std::vector<HashKey> child_keys;
-  child_keys.reserve(live.size());
-  for (std::uint32_t in : live)
-    child_keys.push_back(
-        compact_subtree_key(view, options, in, depth - 1, assignment));
-  std::sort(child_keys.begin(), child_keys.end());
-
-  HashKey key;
-  key.reserve(2 + child_keys.size() * 4);
-  key += '(';
-  for (const HashKey& child : child_keys) key += child;
-  key += ')';
-  key += gate_type_code(effective);
-  return key;
-}
-
-// CSR twin of ConeHasher::signature (sans the profiler counter, which the
-// dispatching method keeps).
-BitSignature compact_signature(const CompactView& view, const Options& options,
-                               std::uint32_t bit,
-                               const AssignmentMap* assignment) {
-  BitSignature sig;
-  if (assignment != nullptr && assignment->contains(NetId(bit))) return sig;
-
-  const std::uint32_t driver = view.driver(bit);
-  if (driver == CompactView::kNoGate) return sig;
-  const GateType type = view.gate_type(driver);
-  if (type == GateType::kDff) {
-    sig.root_type = GateType::kDff;
-    return sig;
-  }
-  if (type == GateType::kConst0 || type == GateType::kConst1) return sig;
-
-  const std::span<const std::uint32_t> inputs = view.fanin(driver);
-  std::vector<std::uint32_t> live;
-  bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live.assign(inputs.begin(), inputs.end());
-  } else {
-    for (std::uint32_t in : inputs) {
-      const auto v = assignment->value(NetId(in));
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      if (const auto cv = controlling_value(type)) NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
-    }
-  }
-  if (live.empty()) return sig;  // would be constant; not a word bit
-
-  sig.root_type = (live.size() == inputs.size())
-                      ? type
-                      : collapsed_type(type, live.size(), dropped_parity);
-
-  NETREV_REQUIRE(options.cone_depth >= 1);
-  sig.subtrees.reserve(live.size());
-  for (std::uint32_t in : live)
-    sig.subtrees.push_back(SubtreeKey{
-        compact_subtree_key(view, options, in, options.cone_depth - 1,
-                            assignment),
-        NetId(in)});
-  std::sort(sig.subtrees.begin(), sig.subtrees.end(),
-            [](const SubtreeKey& a, const SubtreeKey& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.root < b.root;
-            });
-  return sig;
+  if (live.empty() || live.size() == inputs.size()) return type;
+  return collapsed_type(type, live.size(), dropped_parity);
 }
 
 }  // namespace
@@ -150,64 +63,38 @@ bool BitSignature::structurally_equal(const BitSignature& other) const {
   return true;
 }
 
-ConeHasher::ConeHasher(const Netlist& nl, const Options& options)
-    : nl_(&nl), options_(options) {}
+ConeHasher::ConeHasher(const CompactView& view, const Options& options)
+    : view_(&view), options_(options) {}
 
 HashKey ConeHasher::subtree_key(NetId net, std::size_t depth,
                                 const AssignmentMap* assignment) const {
-  if (options_.use_compact && options_.compact != nullptr)
-    return compact_subtree_key(*options_.compact, options_, net.value(), depth,
-                               assignment);
-
   // A net assigned by the reduction is a constant leaf.  (Callers normally
   // drop assigned children before recursing; this branch covers direct
   // queries on assigned nets.)
   if (assignment != nullptr) {
-    if (const auto v = assignment->value(net)) return std::string(1, *v ? '1' : '0');
+    if (const auto v = assignment->value(net))
+      return std::string(1, *v ? '1' : '0');
   }
 
-  const auto driver = nl_->driver_of(net);
-  if (!driver) return std::string(1, leaf_primary_input(options_));
+  const std::uint32_t driver = view_->driver(net.value());
+  if (driver == CompactView::kNoGate)
+    return std::string(1, leaf_primary_input(options_));
 
-  const netlist::Gate& gate = nl_->gate(*driver);
-  if (gate.type == GateType::kDff)
-    return std::string(1, leaf_flop_output(options_));
-  if (gate.type == GateType::kConst0) return "0";
-  if (gate.type == GateType::kConst1) return "1";
+  const GateType type = view_->gate_type(driver);
+  if (type == GateType::kDff) return std::string(1, leaf_flop_output(options_));
+  if (type == GateType::kConst0) return "0";
+  if (type == GateType::kConst1) return "1";
   if (depth == 0) return std::string(1, leaf_depth_cut(options_));
 
-  // Partition inputs into live and dropped-constant under the assignment.
-  std::vector<NetId> live;
-  live.reserve(gate.inputs.size());
-  bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live = gate.inputs;
-  } else {
-    for (NetId in : gate.inputs) {
-      const auto v = assignment->value(in);
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      // Closure property of propagate(): a controlling input would have
-      // assigned this gate's output, and the output is unassigned here.
-      if (const auto cv = controlling_value(gate.type))
-        NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
-    }
-  }
+  std::vector<std::uint32_t> live;
+  const GateType effective = live_fanin(*view_, driver, assignment, live);
   NETREV_ASSERT(!live.empty() &&
                 "all-constant gate must have an assigned output");
 
-  const GateType effective =
-      (live.size() == gate.inputs.size())
-          ? gate.type
-          : collapsed_type(gate.type, live.size(), dropped_parity);
-
   std::vector<HashKey> child_keys;
   child_keys.reserve(live.size());
-  for (NetId in : live)
-    child_keys.push_back(subtree_key(in, depth - 1, assignment));
+  for (std::uint32_t in : live)
+    child_keys.push_back(subtree_key(NetId(in), depth - 1, assignment));
   std::sort(child_keys.begin(), child_keys.end());
 
   HashKey key;
@@ -229,56 +116,45 @@ BitSignature ConeHasher::signature(NetId bit,
     if (perf::Profiler::global().enabled())
       cones.fetch_add(1, std::memory_order_relaxed);
   }
-  if (options_.use_compact && options_.compact != nullptr)
-    return compact_signature(*options_.compact, options_, bit.value(),
-                             assignment);
   BitSignature sig;
   if (assignment != nullptr && assignment->contains(bit)) return sig;
 
-  const auto driver = nl_->driver_of(bit);
-  if (!driver) return sig;
-  const netlist::Gate& gate = nl_->gate(*driver);
-  if (gate.type == GateType::kDff) {
+  const std::uint32_t driver = view_->driver(bit.value());
+  if (driver == CompactView::kNoGate) return sig;
+  const GateType type = view_->gate_type(driver);
+  if (type == GateType::kDff) {
     sig.root_type = GateType::kDff;
     return sig;
   }
-  if (gate.type == GateType::kConst0 || gate.type == GateType::kConst1)
-    return sig;
+  if (type == GateType::kConst0 || type == GateType::kConst1) return sig;
 
   // Live second-level subtree roots under the assignment.
-  std::vector<NetId> live;
-  bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live = gate.inputs;
-  } else {
-    for (NetId in : gate.inputs) {
-      const auto v = assignment->value(in);
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      if (const auto cv = controlling_value(gate.type))
-        NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
-    }
-  }
+  std::vector<std::uint32_t> live;
+  const GateType effective = live_fanin(*view_, driver, assignment, live);
   if (live.empty()) return sig;  // would be constant; not a word bit
-
-  sig.root_type = (live.size() == gate.inputs.size())
-                      ? gate.type
-                      : collapsed_type(gate.type, live.size(), dropped_parity);
+  sig.root_type = effective;
 
   NETREV_REQUIRE(options_.cone_depth >= 1);
   sig.subtrees.reserve(live.size());
-  for (NetId in : live)
-    sig.subtrees.push_back(
-        SubtreeKey{subtree_key(in, options_.cone_depth - 1, assignment), in});
+  for (std::uint32_t in : live)
+    sig.subtrees.push_back(SubtreeKey{
+        subtree_key(NetId(in), options_.cone_depth - 1, assignment),
+        NetId(in)});
   std::sort(sig.subtrees.begin(), sig.subtrees.end(),
             [](const SubtreeKey& a, const SubtreeKey& b) {
               if (a.key != b.key) return a.key < b.key;
               return a.root < b.root;
             });
   return sig;
+}
+
+const CompactView& resolve_view(const Netlist& nl, const Options& options,
+                                std::optional<CompactView>& local) {
+  if (options.compact == nullptr) {
+    perf::Stage stage("compact");
+    return local.emplace(CompactView::build(nl));
+  }
+  return *options.compact;
 }
 
 }  // namespace netrev::wordrec

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 #include "wordrec/assignment.h"
 #include "wordrec/options.h"
@@ -46,11 +47,14 @@ struct BitSignature {
   bool structurally_equal(const BitSignature& other) const;
 };
 
+// Computes keys and signatures over the CSR arrays of a CompactView (net
+// ids are NetId values).  Holds a reference to the view, which must outlive
+// the hasher.
 class ConeHasher {
  public:
-  ConeHasher(const netlist::Netlist& nl, const Options& options);
+  ConeHasher(const netlist::CompactView& view, const Options& options);
 
-  const netlist::Netlist& design() const { return *nl_; }
+  const netlist::CompactView& view() const { return *view_; }
   const Options& options() const { return options_; }
 
   // Key of the subtree rooted at `net`, exploring `depth` levels of gates.
@@ -66,8 +70,14 @@ class ConeHasher {
                          const AssignmentMap* assignment = nullptr) const;
 
  private:
-  const netlist::Netlist* nl_;
+  const netlist::CompactView* view_;
   Options options_;
 };
+
+// The view `options.compact` points to, or one built into `local` when it
+// is null (library callers without a cached view).
+const netlist::CompactView& resolve_view(
+    const netlist::Netlist& nl, const Options& options,
+    std::optional<netlist::CompactView>& local);
 
 }  // namespace netrev::wordrec

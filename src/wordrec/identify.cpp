@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "exec/chaos.h"
 #include "netlist/compact.h"
-#include "netlist/cone.h"
 #include "perf/profile.h"
 #include "wordrec/assignment.h"
 #include "wordrec/control.h"
@@ -21,7 +20,6 @@
 
 namespace netrev::wordrec {
 
-using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
 
@@ -39,14 +37,14 @@ constexpr std::size_t kTrialChunk = 8;
 // of the gates it feeds inside the dissimilar region (§2.5: "the assigned
 // value to a control signal will be the controlling value to one of the
 // logic gates that the control signal is feeding into").
-std::vector<bool> candidate_values(const Netlist& nl, NetId signal,
+std::vector<bool> candidate_values(const netlist::CompactView& view,
+                                   NetId signal,
                                    const std::unordered_set<NetId>& region,
                                    const Options& options) {
   bool has_zero = false, has_one = false;
-  for (GateId g : nl.net(signal).fanouts) {
-    const netlist::Gate& gate = nl.gate(g);
-    if (!region.contains(gate.output)) continue;
-    const auto cv = controlling_value(gate.type);
+  for (std::uint32_t g : view.fanout(signal.value())) {
+    if (!region.contains(NetId(view.gate_output(g)))) continue;
+    const auto cv = controlling_value(view.gate_type(g));
     if (!cv) continue;
     (*cv ? has_one : has_zero) = true;
   }
@@ -172,8 +170,7 @@ struct GroupOutcome {
   std::vector<UnifiedWord> unified;
 };
 
-GroupOutcome process_group(const Netlist& nl,
-                           const netlist::CompactView& view,
+GroupOutcome process_group(const netlist::CompactView& view,
                            const ConeHasher& hasher,
                            const PotentialBitGroup& group,
                            const Options& options,
@@ -227,7 +224,7 @@ GroupOutcome process_group(const Netlist& nl,
     std::vector<std::vector<bool>> values_per_signal;
     {
       perf::ScopedWork work("stage.control_ns");
-      signals = find_relevant_control_signals(nl, subgroup, options);
+      signals = find_relevant_control_signals(view, subgroup, options);
       outcome.stats.control_signal_candidates += signals.size();
       if (options.trace != nullptr) {
         TraceRecord record;
@@ -237,24 +234,16 @@ GroupOutcome process_group(const Netlist& nl,
       }
       if (!signals.empty()) {
         // The dissimilar region: nets of all recorded dissimilar subtrees.
-        if (options.use_compact && options.compact != nullptr) {
-          for (const auto& per_bit : subgroup.dissimilar)
-            for (NetId root : per_bit)
-              for (std::uint32_t net : options.compact->fanin_cone_nets(
-                       root.value(), subtree_depth,
-                       netlist::thread_cone_scratch(), options.cone_budget))
-                region.insert(NetId(net));
-        } else {
-          for (const auto& per_bit : subgroup.dissimilar)
-            for (NetId root : per_bit)
-              for (NetId net : netlist::fanin_cone_nets(
-                       nl, root, subtree_depth, options.cone_budget))
-                region.insert(net);
-        }
+        for (const auto& per_bit : subgroup.dissimilar)
+          for (NetId root : per_bit)
+            for (std::uint32_t net : view.fanin_cone_nets(
+                     root.value(), subtree_depth,
+                     netlist::thread_cone_scratch(), options.cone_budget))
+              region.insert(NetId(net));
         values_per_signal.reserve(signals.size());
         for (NetId signal : signals)
           values_per_signal.push_back(
-              candidate_values(nl, signal, region, options));
+              candidate_values(view, signal, region, options));
       }
     }
     if (signals.empty()) {
@@ -341,49 +330,27 @@ GroupOutcome process_group(const Netlist& nl,
   return outcome;
 }
 
-// True iff some flop's D input is its own output.  The levelization accepts
-// such a loop (a flop output is previous-cycle state) but
-// analysis::combinational_sccs reports it as a one-gate cycle, so the
-// pre-pass in identify_words() must still run the SCC sweep for it.
-bool flop_reads_own_output(const netlist::CompactView& view) {
-  for (std::uint32_t flop : view.flop_gates())
-    for (std::uint32_t in : view.fanin(flop))
-      if (in == view.gate_output(flop)) return true;
-  return false;
-}
-
 }  // namespace
 
 IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   perf::Stage stage("identify");
   exec::chaos_point("identify");
 
-  // Data-oriented core: flatten the design once so every cone walk and
-  // hashing recursion of this run iterates CSR arrays.  Callers that pass a
-  // prebuilt view (the Session's cached artifact) skip the build; the view
-  // must be installed before the hasher is constructed (it copies options).
-  // Constant propagation always runs on a view, so --legacy-core builds one
-  // for the reduction trials alone.
+  // Data-oriented core: flatten the design once so every cone walk,
+  // hashing recursion and closure of this run iterates CSR arrays.  Callers
+  // that pass a prebuilt view (the Session's cached artifact) skip the build.
   Options options = options_in;
   std::optional<netlist::CompactView> local_view;
-  if (options.compact == nullptr) {
-    perf::Stage compact_stage("compact");
-    local_view.emplace(netlist::CompactView::build(nl));
-    if (options.use_compact) options.compact = &*local_view;
-  }
-  const netlist::CompactView& view =
-      options.compact != nullptr ? *options.compact : *local_view;
+  const netlist::CompactView& view = resolve_view(nl, options, local_view);
 
   // Mandatory structural pre-pass: a combinational cycle would poison cone
   // hashing and constant propagation downstream, so abort with a diagnostic
   // naming the loop instead of computing nonsense.  The view's levelization
-  // already answers whether a cycle exists; only a design it rejects (or
-  // one with a flop reading its own output, see flop_reads_own_output) pays
-  // for the SCC sweep that names the cycle.  Callers with damaged inputs repair first
-  // (netlist::repair + analysis::break_combinational_cycles — the CLI's
-  // --permissive path).
-  if (!view.acyclic() || flop_reads_own_output(view))
-    analysis::require_acyclic(nl);
+  // already answers whether a cycle exists; only a design it rejects pays
+  // for the SCC sweep that names the cycle.  Callers with damaged inputs
+  // repair first (netlist::repair + analysis::break_combinational_cycles —
+  // the CLI's --permissive path).
+  if (!view.acyclic()) analysis::require_acyclic(nl);
 
   // Wire up the cone-work resource guard: all cone walks of this run charge
   // one shared budget, so a runaway input aborts with ResourceLimitError
@@ -412,7 +379,7 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     options.constant_nets = &local_constant_mask;
   }
 
-  const ConeHasher hasher(nl, options);
+  const ConeHasher hasher(view, options);
   IdentifyResult result;
 
   const std::size_t subtree_depth =
@@ -438,7 +405,7 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     const auto process = [&](std::size_t g) {
       options.checkpoint.poll();
       outcomes[g] =
-          process_group(nl, view, hasher, groups[g], options, subtree_depth);
+          process_group(view, hasher, groups[g], options, subtree_depth);
     };
     if (options.trace != nullptr) {
       for (std::size_t g = 0; g < groups.size(); ++g) process(g);

@@ -1,7 +1,6 @@
 #include "wordrec/propagation.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
 
@@ -9,16 +8,17 @@
 
 namespace netrev::wordrec {
 
+using netlist::CompactView;
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
 
 namespace {
 
-bool is_constant_net(const Netlist& nl, NetId net) {
-  const auto driver = nl.driver_of(net);
-  if (!driver) return false;
-  const GateType type = nl.gate(*driver).type;
+bool is_constant_net(const CompactView& view, NetId net) {
+  const std::uint32_t driver = view.driver(net.value());
+  if (driver == CompactView::kNoGate) return false;
+  const GateType type = view.gate_type(driver);
   return type == GateType::kConst0 || type == GateType::kConst1;
 }
 
@@ -29,18 +29,19 @@ bool is_constant_net(const Netlist& nl, NetId net) {
 std::optional<std::vector<NetId>> canonical_leaves(const ConeHasher& hasher,
                                                    NetId net,
                                                    std::size_t depth) {
-  const Netlist& nl = hasher.design();
-  const auto driver = nl.driver_of(net);
-  const bool leaf = !driver || nl.gate(*driver).type == GateType::kDff ||
-                    nl.gate(*driver).type == GateType::kConst0 ||
-                    nl.gate(*driver).type == GateType::kConst1 || depth == 0;
+  const CompactView& view = hasher.view();
+  const std::uint32_t driver = view.driver(net.value());
+  const bool leaf = driver == CompactView::kNoGate ||
+                    view.gate_type(driver) == GateType::kDff ||
+                    view.gate_type(driver) == GateType::kConst0 ||
+                    view.gate_type(driver) == GateType::kConst1 || depth == 0;
   if (leaf) return std::vector<NetId>{net};
 
-  const netlist::Gate& gate = nl.gate(*driver);
+  const std::span<const std::uint32_t> inputs = view.fanin(driver);
   std::vector<std::pair<HashKey, NetId>> children;
-  children.reserve(gate.inputs.size());
-  for (NetId in : gate.inputs)
-    children.emplace_back(hasher.subtree_key(in, depth - 1), in);
+  children.reserve(inputs.size());
+  for (std::uint32_t in : inputs)
+    children.emplace_back(hasher.subtree_key(NetId(in), depth - 1), NetId(in));
   std::sort(children.begin(), children.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 1; i < children.size(); ++i)
@@ -68,7 +69,9 @@ WordPropagationResult propagate_words(const Netlist& nl, const WordSet& words,
                                       const Options& options,
                                       std::size_t min_width) {
   NETREV_REQUIRE(min_width >= 2);
-  const ConeHasher hasher(nl, options);
+  std::optional<CompactView> local_view;
+  const CompactView& view = resolve_view(nl, options, local_view);
+  const ConeHasher hasher(view, options);
   const std::size_t subtree_depth =
       options.cone_depth > 0 ? options.cone_depth - 1 : 0;
 
@@ -84,7 +87,7 @@ WordPropagationResult propagate_words(const Netlist& nl, const WordSet& words,
     if (unique.size() != bits.size()) return;
     if (bits.size() < min_width) return;
     for (NetId bit : bits)
-      if (is_constant_net(nl, bit)) return;
+      if (is_constant_net(view, bit)) return;
     Word candidate;
     candidate.bits = std::move(bits);
     if (!seen.insert(sorted_bits(candidate)).second) return;
@@ -162,8 +165,12 @@ WordPropagationResult propagate_words(const Netlist& nl, const WordSet& words,
 
 WordPropagationResult propagate_words_to_fixpoint(const Netlist& nl,
                                                   const WordSet& words,
-                                                  const Options& options,
+                                                  const Options& options_in,
                                                   std::size_t max_rounds) {
+  // One view for every round.
+  Options options = options_in;
+  std::optional<CompactView> local_view;
+  options.compact = &resolve_view(nl, options, local_view);
   WordPropagationResult all;
   WordSet frontier = words;
   std::set<std::vector<NetId>> seen;

@@ -347,6 +347,21 @@ TEST(DffSelfLoopRule, DirectSelfDriveIsFlagged) {
   EXPECT_EQ(run_rule(nl, "dff-self-loop").findings.size(), 1u);
 }
 
+TEST(DffSelfLoopRule, DirectSelfDriveIsNotACombinationalCycle) {
+  Netlist nl;
+  const NetId a = nl.add_net("a");
+  const NetId q = nl.add_net("q");
+  const NetId y = nl.add_net("y");
+  nl.mark_primary_input(a);
+  nl.add_gate(GateType::kDff, q, {q});
+  nl.add_gate(GateType::kAnd, y, {a, q});
+  nl.mark_primary_output(y);
+  const std::vector<std::string> ids = rules_hit(analyze(nl));
+  EXPECT_EQ(std::find(ids.begin(), ids.end(), "comb-cycle"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "dff-self-loop"), ids.end());
+  EXPECT_TRUE(combinational_sccs(nl).empty());
+}
+
 // --- engine-level ----------------------------------------------------------
 
 TEST(Analyze, FindingCapFoldsOverflowIntoSummaryFinding) {

@@ -272,8 +272,10 @@ TEST(Cli, TableJson) {
 // --- error paths and the permissive pipeline -------------------------------
 
 // A damaged .bench file: one malformed gate line in an otherwise fine design.
-std::string write_damaged_bench() {
-  const std::string path = temp_dir() + "/damaged.bench";
+// One file per caller: ctest runs the tests below as concurrent processes,
+// and a shared path lets one truncate the file while another parses it.
+std::string write_damaged_bench(const std::string& name) {
+  const std::string path = temp_dir() + "/" + name + ".bench";
   std::ofstream(path) << "INPUT(a)\nINPUT(b)\nOUTPUT(q)\n"
                          "n1 = NAND(a, b)\nn2 = BOGUS(n1)\nq = NOT(n1)\n";
   return path;
@@ -295,7 +297,7 @@ TEST(Cli, UsageDocumentsExitCodes) {
 }
 
 TEST(Cli, MalformedNetlistStrictFails) {
-  const std::string path = write_damaged_bench();
+  const std::string path = write_damaged_bench("damaged_strict");
   const CliRun r = run({"stats", path});
   EXPECT_EQ(r.exit_code, 1);
   // Strict errors carry a real position.
@@ -304,7 +306,7 @@ TEST(Cli, MalformedNetlistStrictFails) {
 }
 
 TEST(Cli, MalformedNetlistPermissiveRecoversWithExitCode3) {
-  const std::string path = write_damaged_bench();
+  const std::string path = write_damaged_bench("damaged_permissive");
   const CliRun r = run({"stats", path, "--permissive"});
   EXPECT_EQ(r.exit_code, 3);  // recovered with warnings
   EXPECT_NE(r.out.find("gates="), std::string::npos);
@@ -312,7 +314,7 @@ TEST(Cli, MalformedNetlistPermissiveRecoversWithExitCode3) {
 }
 
 TEST(Cli, DiagJsonPrintsDiagnostics) {
-  const std::string path = write_damaged_bench();
+  const std::string path = write_damaged_bench("damaged_diag_json");
   const CliRun r = run({"stats", path, "--permissive", "--diag-json"});
   EXPECT_EQ(r.exit_code, 3);
   EXPECT_NE(r.out.find("\"diagnostics\":["), std::string::npos);

@@ -22,11 +22,27 @@ TEST(CancelToken, CopiesShareTheSameFlag) {
 }
 
 TEST(CancelToken, RawFlagStoreIsVisibleThroughTheToken) {
-  // The CLI's SIGINT handler stores through flag() directly; the poll side
-  // must observe it like a normal request_cancel().
+  // A lock-free store through flag() must be observed like a normal
+  // request_cancel().
   CancelToken token;
   token.flag()->store(true, std::memory_order_relaxed);
   EXPECT_TRUE(token.cancel_requested());
+}
+
+TEST(CancelToken, LinkedFlagCancelsEveryCopyUntilUnlinked) {
+  // The CLI's SIGINT handler stores into a static flag the token is linked
+  // to; the token's own flag stays untouched.
+  static std::atomic<bool> signalled{false};
+  CancelToken a;
+  const CancelToken b = a;
+  a.link(&signalled);
+  EXPECT_FALSE(b.cancel_requested());
+  signalled.store(true);
+  EXPECT_TRUE(a.cancel_requested());
+  EXPECT_TRUE(b.cancel_requested());
+  a.link(nullptr);
+  EXPECT_FALSE(b.cancel_requested());
+  signalled.store(false);
 }
 
 TEST(Deadline, DefaultAndNonPositiveBudgetsAreUnlimited) {

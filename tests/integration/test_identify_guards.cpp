@@ -24,6 +24,7 @@
 #include "itc/family.h"
 #include "netlist/compact.h"
 #include "netlist/random_netlist.h"
+#include "parser/bench_parser.h"
 #include "wordrec/degrade.h"
 #include "wordrec/identify.h"
 
@@ -155,6 +156,7 @@ TEST(AcyclicityProperty, LevelizationAgreesWithSccsAndIdentifyNamesTheCycle) {
   std::size_t cyclic = 0;
   std::size_t self_loops = 0;
   std::size_t flop_self_loops = 0;
+  std::size_t acyclic_flop_self_loops = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     netlist::RandomNetlistSpec spec;
     spec.seed = seed;
@@ -167,8 +169,8 @@ TEST(AcyclicityProperty, LevelizationAgreesWithSccsAndIdentifyNamesTheCycle) {
 
     const std::vector<analysis::CombinationalScc> sccs =
         analysis::combinational_sccs(nl);
-    // combinational_sccs also reports a flop reading its own output, which
-    // levelizes fine; identify_words() checks for that loop separately.
+    // A flop reading its own output is previous-cycle state: neither the
+    // levelization nor the SCC sweep counts it as a cycle.
     bool flop_self_loop = false;
     for (std::size_t g = 0; g < nl.gate_count(); ++g) {
       const netlist::Gate& gate = nl.gate(nl.gate_id_at(g));
@@ -176,10 +178,13 @@ TEST(AcyclicityProperty, LevelizationAgreesWithSccsAndIdentifyNamesTheCycle) {
         flop_self_loop = true;
     }
     flop_self_loops += flop_self_loop ? 1 : 0;
-    ASSERT_EQ(netlist::CompactView::build(nl).acyclic() && !flop_self_loop,
-              sccs.empty());
+    ASSERT_EQ(netlist::CompactView::build(nl).acyclic(), sccs.empty());
     if (sccs.empty()) {
       EXPECT_NO_THROW(analysis::require_acyclic(nl));
+      if (flop_self_loop) {
+        EXPECT_NO_THROW((void)wordrec::identify_words(nl));
+        ++acyclic_flop_self_loops;
+      }
       continue;
     }
     ++cyclic;
@@ -205,6 +210,17 @@ TEST(AcyclicityProperty, LevelizationAgreesWithSccsAndIdentifyNamesTheCycle) {
   EXPECT_LT(cyclic, 180u);
   EXPECT_GT(self_loops, 5u);
   EXPECT_GT(flop_self_loops, 0u);
+  EXPECT_GT(acyclic_flop_self_loops, 0u);
+}
+
+// q = DFF(q) is the only loop: identify succeeds (a flop output is a cone
+// leaf, never a combinational cycle).
+TEST(AcyclicityProperty, FlopSelfLoopAloneIdentifies) {
+  const Netlist nl =
+      parser::parse_bench("INPUT(a)\nOUTPUT(y)\nq = DFF(q)\ny = AND(a, q)\n");
+  EXPECT_TRUE(analysis::combinational_sccs(nl).empty());
+  EXPECT_NO_THROW(analysis::require_acyclic(nl));
+  EXPECT_NO_THROW((void)wordrec::identify_words(nl));
 }
 
 }  // namespace

@@ -78,13 +78,14 @@ TEST_P(PropertyTest, MaterializedReductionsValidateAndAgreeBehaviourally) {
 TEST_P(PropertyTest, VirtualAndMaterializedKeysAgreeOnWordBits) {
   const auto& p = produced(GetParam());
   const wordrec::Options options;
-  const wordrec::ConeHasher virtual_hasher(p.bench.netlist, options);
   const auto view = netlist::CompactView::build(p.bench.netlist);
+  const wordrec::ConeHasher virtual_hasher(view, options);
   for (const auto& unified : p.result.unified) {
     const auto prop = wordrec::propagate(view, unified.assignment);
     const auto reduced =
         wordrec::materialize_reduction(p.bench.netlist, prop.map);
-    const wordrec::ConeHasher reduced_hasher(reduced, options);
+    const auto reduced_view = netlist::CompactView::build(reduced);
+    const wordrec::ConeHasher reduced_hasher(reduced_view, options);
     for (netlist::NetId bit : unified.bits) {
       const auto red_bit = reduced.find_net(p.bench.netlist.net(bit).name);
       ASSERT_TRUE(red_bit.has_value());

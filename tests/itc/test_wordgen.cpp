@@ -74,7 +74,8 @@ TEST(WordForge, CleanWordBitsFullyMatch) {
   f.finalize(word.d_nets);
   ASSERT_TRUE(netlist::validate(f.nl).ok());
 
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
   const auto first = hasher.signature(word.d_nets[0]);
   for (std::size_t i = 1; i < word.d_nets.size(); ++i)
     EXPECT_TRUE(first.structurally_equal(hasher.signature(word.d_nets[i])));
@@ -88,7 +89,8 @@ TEST(WordForge, CleanShapesAreMutuallyAlien) {
       Forge f;
       const auto w1 = f.forge.emit_word(f.plan(WordKind::kClean, 2), s1);
       const auto w2 = f.forge.emit_word(f.plan(WordKind::kClean, 2), s2);
-      const wordrec::ConeHasher hasher(f.nl, {});
+      const netlist::CompactView view = netlist::CompactView::build(f.nl);
+      const wordrec::ConeHasher hasher(view, {});
       const auto match = wordrec::compare_bits(hasher.signature(w1.d_nets[0]),
                                                hasher.signature(w2.d_nets[0]));
       EXPECT_FALSE(match.full) << s1 << " vs " << s2;
@@ -101,7 +103,8 @@ TEST(WordForge, ControlWordAdjacentBitsOnlyPartiallyMatch) {
   Forge f;
   const auto word =
       f.forge.emit_word(f.plan(WordKind::kControlFromNotFound, 4), 0);
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
   for (std::size_t i = 0; i + 1 < word.d_nets.size(); ++i) {
     const auto match = wordrec::compare_bits(hasher.signature(word.d_nets[i]),
                                              hasher.signature(word.d_nets[i + 1]));
@@ -115,7 +118,8 @@ TEST(WordForge, ControlWordUnifiesUnderControlAssignment) {
   Forge f;
   const auto word =
       f.forge.emit_word(f.plan(WordKind::kControlFromNotFound, 4), 0);
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
   const std::pair<NetId, bool> seeds[] = {{word.controls_used[0], false}};
   const auto prop =
       wordrec::propagate(netlist::CompactView::build(f.nl), seeds);
@@ -130,7 +134,8 @@ TEST(WordForge, PairWordNeedsBothControls) {
   Forge f;
   const auto word = f.forge.emit_word(f.plan(WordKind::kControlPair, 3), 0);
   ASSERT_EQ(word.controls_used.size(), 2u);
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
 
   const auto unified = [&](std::vector<std::pair<NetId, bool>> seeds) {
     const auto prop =
@@ -155,7 +160,8 @@ TEST(WordForge, PartialBothSplitsIntoAlienClusters) {
   Forge f;
   const auto word =
       f.forge.emit_word(f.plan(WordKind::kPartialBoth, 6, 0, 3), 0);
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
   // Cluster boundaries at 2 and 4: no match across, full match within.
   const auto across1 = wordrec::compare_bits(hasher.signature(word.d_nets[1]),
                                              hasher.signature(word.d_nets[2]));
@@ -169,7 +175,8 @@ TEST(WordForge, PartialBothSplitsIntoAlienClusters) {
 TEST(WordForge, HeteroBitsShareNothing) {
   Forge f;
   const auto word = f.forge.emit_word(f.plan(WordKind::kNotFoundBoth, 6), 0);
-  const wordrec::ConeHasher hasher(f.nl, {});
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const wordrec::ConeHasher hasher(view, {});
   for (std::size_t i = 0; i + 1 < word.d_nets.size(); ++i) {
     const auto match = wordrec::compare_bits(hasher.signature(word.d_nets[i]),
                                              hasher.signature(word.d_nets[i + 1]));

@@ -3,9 +3,9 @@
 // Two contracts under test.  First, the PackedSimulator itself: each of its
 // 64 lanes must behave exactly like one scalar Simulator across eval() and
 // step().  Second, the sampling layer: sample_random_vectors (packed) must
-// return byte-identical samples to sample_random_vectors_scalar for every
-// seed, every vector count — especially counts not divisible by 64 or by
-// kRandomSimBlock — and every job count.
+// return byte-identical samples to the scalar oracle in
+// support/sample_oracle.h for every seed, every vector count — especially
+// counts not divisible by 64 or by kRandomSimBlock — and every job count.
 #include "sim/packed.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "netlist/netlist.h"
 #include "netlist/random_netlist.h"
 #include "sim/simulator.h"
+#include "support/sample_oracle.h"
 
 namespace netrev::sim {
 namespace {
@@ -28,6 +29,7 @@ namespace {
 using netlist::CompactView;
 using netlist::NetId;
 using netlist::Netlist;
+using netrev::testing::sample_random_vectors_scalar;
 
 // All nets of a design, the widest possible probe set.
 std::vector<NetId> all_nets(const Netlist& nl) {

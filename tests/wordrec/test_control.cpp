@@ -30,6 +30,14 @@ struct Builder {
   }
 };
 
+// The control finder over a freshly built view of `nl`.
+template <typename Roots>
+std::vector<NetId> signals_over_view(const Netlist& nl, const Roots& roots,
+                                     const Options& options) {
+  return find_relevant_control_signals(netlist::CompactView::build(nl), roots,
+                                       options);
+}
+
 bool contains(const std::vector<NetId>& nets, NetId id) {
   return std::find(nets.begin(), nets.end(), id) != nets.end();
 }
@@ -54,7 +62,7 @@ struct SharedControlFixture : Builder {
 TEST(ControlSignals, FindsSharedSignalAcrossSubtrees) {
   SharedControlFixture f;
   const NetId roots[] = {f.e0, f.e1, f.e2};
-  const auto signals = find_relevant_control_signals(f.nl, roots, f.options);
+  const auto signals = signals_over_view(f.nl, roots, f.options);
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0], f.ctrl);
 }
@@ -62,7 +70,7 @@ TEST(ControlSignals, FindsSharedSignalAcrossSubtrees) {
 TEST(ControlSignals, DominatedNetsRemoved) {
   SharedControlFixture f;
   const NetId roots[] = {f.e0, f.e1, f.e2};
-  const auto signals = find_relevant_control_signals(f.nl, roots, f.options);
+  const auto signals = signals_over_view(f.nl, roots, f.options);
   EXPECT_FALSE(contains(signals, f.t));  // t is in ctrl's fanin cone
 }
 
@@ -71,7 +79,7 @@ TEST(ControlSignals, SubtreeRootsAreNeverCandidates) {
   // Degenerate single-subtree case: the common set is e0's whole cone; the
   // root e0 must be excluded, leaving ctrl and the garnish source.
   const NetId roots[] = {f.e0};
-  const auto signals = find_relevant_control_signals(f.nl, roots, f.options);
+  const auto signals = signals_over_view(f.nl, roots, f.options);
   EXPECT_FALSE(contains(signals, f.e0));
   EXPECT_TRUE(contains(signals, f.ctrl));
 }
@@ -82,12 +90,12 @@ TEST(ControlSignals, EmptyWhenNothingCommon) {
   const NetId r1 = b.gate(GateType::kNand, "r1", {a, c});
   const NetId r2 = b.gate(GateType::kNand, "r2", {d, e});
   const NetId roots[] = {r1, r2};
-  EXPECT_TRUE(find_relevant_control_signals(b.nl, roots, b.options).empty());
+  EXPECT_TRUE(signals_over_view(b.nl, roots, b.options).empty());
 }
 
 TEST(ControlSignals, EmptyForNoRoots) {
   Builder b;
-  EXPECT_TRUE(find_relevant_control_signals(
+  EXPECT_TRUE(signals_over_view(
                   b.nl, std::span<const NetId>{}, b.options)
                   .empty());
 }
@@ -99,7 +107,7 @@ TEST(ControlSignals, ConstantsAreExcluded) {
   const NetId r1 = b.gate(GateType::kNand, "r1", {one, z0});
   const NetId r2 = b.gate(GateType::kNand, "r2", {one, z1});
   const NetId roots[] = {r1, r2};
-  const auto signals = find_relevant_control_signals(b.nl, roots, b.options);
+  const auto signals = signals_over_view(b.nl, roots, b.options);
   EXPECT_FALSE(contains(signals, one));
 }
 
@@ -110,7 +118,7 @@ TEST(ControlSignals, DepthBoundLimitsCommonality) {
   Options shallow = f.options;
   shallow.cone_depth = 2;
   const NetId roots[] = {f.e1, f.e2};  // ctrl at depth 1 is still visible
-  auto signals = find_relevant_control_signals(f.nl, roots, shallow);
+  auto signals = signals_over_view(f.nl, roots, shallow);
   EXPECT_TRUE(contains(signals, f.ctrl));
   // t is at depth 2 from the roots; it cannot even be listed, and ctrl is
   // not dominated within the restricted view either.
@@ -128,7 +136,7 @@ TEST(ControlSignals, PairOfSignalsBothKept) {
   const NetId eb1 = b.gate(GateType::kNand, "eb1", {cb, z1});
   const NetId r1 = b.gate(GateType::kAnd, "r1", {ea1, eb1});
   const NetId roots[] = {r0, r1};
-  const auto signals = find_relevant_control_signals(b.nl, roots, b.options);
+  const auto signals = signals_over_view(b.nl, roots, b.options);
   EXPECT_TRUE(contains(signals, ca));
   EXPECT_TRUE(contains(signals, cb));
 }
@@ -147,7 +155,7 @@ TEST(ControlSignals, CapRespected) {
   Options capped = b.options;
   capped.max_control_signals_per_subgroup = 4;
   const NetId roots[] = {r0, r1};
-  const auto signals = find_relevant_control_signals(b.nl, roots, capped);
+  const auto signals = signals_over_view(b.nl, roots, capped);
   EXPECT_EQ(signals.size(), 4u);
 }
 
@@ -156,7 +164,7 @@ TEST(ControlSignals, SubgroupOverloadUnionsPerBitRoots) {
   Subgroup sg;
   sg.bits = {f.pi("b0"), f.pi("b1"), f.pi("b2")};
   sg.dissimilar = {{f.e0}, {f.e1, f.e0}, {f.e2}};  // duplicates tolerated
-  const auto signals = find_relevant_control_signals(f.nl, sg, f.options);
+  const auto signals = signals_over_view(f.nl, sg, f.options);
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0], f.ctrl);
 }
@@ -178,7 +186,7 @@ struct DerivedConstantFixture : Builder {
 
   std::vector<NetId> signals(const Options& opts) const {
     const NetId roots[] = {r0, r1};
-    return find_relevant_control_signals(nl, roots, opts);
+    return signals_over_view(nl, roots, opts);
   }
 };
 
@@ -247,7 +255,7 @@ TEST(ControlSignals, DeterministicOrder) {
   const NetId r0 = b.gate(GateType::kNand, "r0", {ca, cb, z0});
   const NetId r1 = b.gate(GateType::kNand, "r1", {ca, cb, z1});
   const NetId roots[] = {r0, r1};
-  const auto signals = find_relevant_control_signals(b.nl, roots, b.options);
+  const auto signals = signals_over_view(b.nl, roots, b.options);
   ASSERT_EQ(signals.size(), 2u);
   EXPECT_LT(signals[0], signals[1]);  // ascending net id
 }

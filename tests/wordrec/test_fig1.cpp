@@ -19,7 +19,10 @@ using netlist::NetId;
 
 class Fig1Test : public ::testing::Test {
  protected:
-  Fig1Test() : fig_(itc::build_fig1_circuit()), hasher_(fig_.netlist, options_) {}
+  Fig1Test()
+      : fig_(itc::build_fig1_circuit()),
+        view_(netlist::CompactView::build(fig_.netlist)),
+        hasher_(view_, options_) {}
 
   std::vector<NetId> dissimilar_roots() const {
     std::vector<NetId> roots;
@@ -38,7 +41,7 @@ class Fig1Test : public ::testing::Test {
   bool unified_under(std::initializer_list<std::pair<NetId, bool>> seeds) const {
     const std::vector<std::pair<NetId, bool>> seed_vec(seeds);
     const auto prop =
-        propagate(netlist::CompactView::build(fig_.netlist), seed_vec);
+        propagate(view_, seed_vec);
     if (!prop.feasible) return false;
     const auto first = hasher_.signature(fig_.word_bits[0], &prop.map);
     if (!first.root_type.has_value()) return false;
@@ -51,6 +54,7 @@ class Fig1Test : public ::testing::Test {
 
   Options options_;
   Fig1Circuit fig_;
+  netlist::CompactView view_;
   ConeHasher hasher_;
 };
 
@@ -87,7 +91,7 @@ TEST_F(Fig1Test, BaselineCannotGroupTheWord) {
 
 TEST_F(Fig1Test, ControlDiscoveryFindsU201AndU221) {
   const auto signals =
-      find_relevant_control_signals(fig_.netlist, dissimilar_roots(), options_);
+      find_relevant_control_signals(view_, dissimilar_roots(), options_);
   ASSERT_EQ(signals.size(), 2u);
   EXPECT_TRUE(std::find(signals.begin(), signals.end(), fig_.u201) !=
               signals.end());
@@ -97,14 +101,14 @@ TEST_F(Fig1Test, ControlDiscoveryFindsU201AndU221) {
 
 TEST_F(Fig1Test, DominatedU223IsDropped) {
   const auto signals =
-      find_relevant_control_signals(fig_.netlist, dissimilar_roots(), options_);
+      find_relevant_control_signals(view_, dissimilar_roots(), options_);
   EXPECT_TRUE(std::find(signals.begin(), signals.end(), fig_.u223) ==
               signals.end());
 }
 
 TEST_F(Fig1Test, MatchingSubtreeSelectsAreNotCandidates) {
   const auto signals =
-      find_relevant_control_signals(fig_.netlist, dissimilar_roots(), options_);
+      find_relevant_control_signals(view_, dissimilar_roots(), options_);
   EXPECT_TRUE(std::find(signals.begin(), signals.end(), fig_.u202) ==
               signals.end());
   EXPECT_TRUE(std::find(signals.begin(), signals.end(), fig_.u255) ==

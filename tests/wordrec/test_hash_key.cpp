@@ -36,7 +36,8 @@ TEST(HashKey, LeafKinds) {
   b.nl.add_gate(GateType::kDff, q, {d});
   const NetId c0 = b.gate(GateType::kConst0, "c0", {});
 
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_EQ(hasher.subtree_key(a, 3), "p");
   EXPECT_EQ(hasher.subtree_key(q, 3), "f");
   EXPECT_EQ(hasher.subtree_key(c0, 3), "0");
@@ -49,7 +50,8 @@ TEST(HashKey, IndistinctLeafMode) {
   const NetId q = b.nl.add_net("q");
   const NetId d = b.pi("d");
   b.nl.add_gate(GateType::kDff, q, {d});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_EQ(hasher.subtree_key(a, 3), "*");
   EXPECT_EQ(hasher.subtree_key(q, 3), "*");
 }
@@ -62,7 +64,8 @@ TEST(HashKey, PostOrderWithSortedChildren) {
   // NAND(q, a) and NAND(a, q) must hash identically (fanins sorted).
   const NetId y1 = b.gate(GateType::kNand, "y1", {q, a});
   const NetId y2 = b.gate(GateType::kNand, "y2", {a, q});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_EQ(hasher.subtree_key(y1, 3), hasher.subtree_key(y2, 3));
   EXPECT_EQ(hasher.subtree_key(y1, 3), "(fp)N");
 }
@@ -73,7 +76,8 @@ TEST(HashKey, DepthCutsExpansion) {
   const NetId n1 = b.gate(GateType::kNot, "n1", {a});
   const NetId n2 = b.gate(GateType::kNot, "n2", {n1});
   const NetId n3 = b.gate(GateType::kNot, "n3", {n2});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_EQ(hasher.subtree_key(n3, 0), "_");
   EXPECT_EQ(hasher.subtree_key(n3, 1), "(_)I");
   EXPECT_EQ(hasher.subtree_key(n3, 2), "((_)I)I");
@@ -86,7 +90,8 @@ TEST(HashKey, StructureDistinguishesGateTypes) {
   const NetId c = b.pi("c");
   const NetId y1 = b.gate(GateType::kAnd, "y1", {a, c});
   const NetId y2 = b.gate(GateType::kOr, "y2", {a, c});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_NE(hasher.subtree_key(y1, 2), hasher.subtree_key(y2, 2));
 }
 
@@ -99,7 +104,8 @@ TEST(HashKey, NameIndependence) {
   const NetId m2 = b.gate(GateType::kXor, "m2", {a2, b2});
   const NetId y1 = b.gate(GateType::kNand, "y1", {m1, a1});
   const NetId y2 = b.gate(GateType::kNand, "y2", {m2, a2});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_EQ(hasher.subtree_key(y1, 3), hasher.subtree_key(y2, 3));
 }
 
@@ -109,7 +115,8 @@ TEST(Signature, RootTypeAndSortedSubtrees) {
   const NetId s1 = b.gate(GateType::kOr, "s1", {a, c});
   const NetId s2 = b.gate(GateType::kAnd, "s2", {a, c});
   const NetId bit = b.gate(GateType::kNand, "bit", {s1, s2});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   const BitSignature sig = hasher.signature(bit);
   ASSERT_TRUE(sig.root_type.has_value());
   EXPECT_EQ(*sig.root_type, GateType::kNand);
@@ -122,7 +129,8 @@ TEST(Signature, UndrivenAndFlopRoots) {
   const NetId a = b.pi("a");
   const NetId q = b.nl.add_net("q");
   b.nl.add_gate(GateType::kDff, q, {a});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_FALSE(hasher.signature(a).root_type.has_value());
   const BitSignature flop_sig = hasher.signature(q);
   ASSERT_TRUE(flop_sig.root_type.has_value());
@@ -136,7 +144,8 @@ TEST(Signature, StructuralEqualityRules) {
   const NetId y1 = b.gate(GateType::kNand, "y1", {a, c});
   const NetId y2 = b.gate(GateType::kNand, "y2", {c, a});
   const NetId y3 = b.gate(GateType::kNor, "y3", {a, c});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   EXPECT_TRUE(hasher.signature(y1).structurally_equal(hasher.signature(y2)));
   EXPECT_FALSE(hasher.signature(y1).structurally_equal(hasher.signature(y3)));
   // Signatures without a root never match, even against themselves.
@@ -164,7 +173,8 @@ struct ReductionFixture : Builder {
 
 TEST(VirtualReduction, DropsKilledSubtreeAndCollapsesRoot) {
   ReductionFixture f;
-  const ConeHasher hasher(f.nl, f.options);
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const ConeHasher hasher(view, f.options);
   // Unreduced: garnished differs from plain.
   EXPECT_FALSE(hasher.signature(f.bit_garnished)
                    .structurally_equal(hasher.signature(f.bit_plain)));
@@ -179,7 +189,8 @@ TEST(VirtualReduction, DropsKilledSubtreeAndCollapsesRoot) {
 
 TEST(VirtualReduction, AssignedBitHasNoSignature) {
   ReductionFixture f;
-  const ConeHasher hasher(f.nl, f.options);
+  const netlist::CompactView view = netlist::CompactView::build(f.nl);
+  const ConeHasher hasher(view, f.options);
   const std::pair<NetId, bool> seeds[] = {{f.bit_plain, true}};
   const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   ASSERT_TRUE(prop.feasible);
@@ -191,7 +202,8 @@ TEST(VirtualReduction, SingleLiveInputCollapsesToInverterForNand) {
   const NetId a = b.pi("a"), c = b.pi("c");
   const NetId y = b.gate(GateType::kNand, "y", {a, c});
   const NetId root = b.gate(GateType::kAnd, "root", {y, b.pi("z")});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   // Assign c=1 (non-controlling for NAND): y's subtree becomes NOT(a).
   AssignmentMap map;
   map.assign(c, true);
@@ -205,7 +217,8 @@ TEST(VirtualReduction, XorParityAbsorption) {
   Builder b;
   const NetId a = b.pi("a"), c = b.pi("c"), d = b.pi("d");
   const NetId y = b.gate(GateType::kXor, "y", {a, c, d});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   AssignmentMap drop0;
   drop0.assign(d, false);
   EXPECT_EQ(hasher.subtree_key(y, 2, &drop0), "(pp)X");
@@ -223,7 +236,8 @@ TEST(VirtualReduction, RootTypeCanCollapse) {
   const NetId a = b.pi("a"), c = b.pi("c");
   const NetId s = b.gate(GateType::kAnd, "s", {a, c});
   const NetId bit = b.gate(GateType::kNand, "bit", {s, b.pi("en")});
-  const ConeHasher hasher(b.nl, b.options);
+  const netlist::CompactView view = netlist::CompactView::build(b.nl);
+  const ConeHasher hasher(view, b.options);
   AssignmentMap map;
   map.assign(*b.nl.find_net("en"), true);
   const BitSignature sig = hasher.signature(bit, &map);

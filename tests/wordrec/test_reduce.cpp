@@ -182,8 +182,10 @@ TEST(Reduce, VirtualAndMaterializedKeysAgree) {
   const auto prop = propagate(netlist::CompactView::build(f.nl), seeds);
   const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
 
-  const ConeHasher virtual_hasher(f.nl, f.options);
-  const ConeHasher reduced_hasher(reduced, f.options);
+  const netlist::CompactView virtual_view = netlist::CompactView::build(f.nl);
+  const ConeHasher virtual_hasher(virtual_view, f.options);
+  const netlist::CompactView reduced_view = netlist::CompactView::build(reduced);
+  const ConeHasher reduced_hasher(reduced_view, f.options);
   for (std::size_t i = 0; i < reduced.net_count(); ++i) {
     const NetId red_id = reduced.net_id_at(i);
     const auto orig = f.nl.find_net(reduced.net(red_id).name);
