@@ -100,8 +100,9 @@ for family in b03s b04s b08s b11s b13s; do
 done
 
 # ThreadSanitizer pass over the concurrency surface: the pool and profiler
-# unit tests plus the end-to-end jobs-determinism suite (which drives every
-# parallel pipeline stage at 1/2/8 jobs).  TSan is incompatible with ASan, so
+# unit tests, the chunked .bench tokeniser and the name table it feeds, plus
+# the end-to-end jobs-determinism suite (which drives every parallel
+# pipeline stage at 1/2/8 jobs).  TSan is incompatible with ASan, so
 # this is a separate build tree.
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -110,7 +111,7 @@ cmake -B "$TSAN_DIR" -S . \
 cmake --build "$TSAN_DIR" -j"$(nproc)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$TSAN_DIR" -j"$(nproc)" \
   --output-on-failure \
-  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Cli.Sigint'
+  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Cli.Sigint|BenchChunks|BenchParser|NetlistNames'
 
 # Jobs-determinism gate: the full CLI output (evaluation + analysis JSON)
 # must not depend on the worker count.

@@ -301,6 +301,9 @@ class DegenerateGateRule final : public AnalysisRule {
     const Netlist& nl = context.netlist;
     for (std::size_t g = 0; g < nl.gate_count(); ++g) {
       const netlist::Gate& gate = nl.gate(nl.gate_id_at(g));
+      // A flop has one input; reading its own output is dff-self-loop's
+      // finding, and this rule's fix hint is for combinational gates.
+      if (gate.type == GateType::kDff) continue;
       std::unordered_set<std::uint32_t> seen;
       bool reported = false;
       for (NetId in : gate.inputs) {

@@ -1,9 +1,5 @@
 #include "netlist/gate_type.h"
 
-#include <algorithm>
-#include <cctype>
-#include <string>
-
 #include "common/contracts.h"
 
 namespace netrev::netlist {
@@ -26,17 +22,61 @@ std::string_view gate_type_name(GateType type) {
   return {};
 }
 
-std::optional<GateType> gate_type_from_name(std::string_view name) {
-  std::string upper(name);
-  std::transform(upper.begin(), upper.end(), upper.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  for (int i = 0; i < kGateTypeCount; ++i) {
-    const auto type = static_cast<GateType>(i);
-    if (upper == gate_type_name(type)) return type;
+namespace {
+
+// ASCII case-insensitive equality with an upper-case mnemonic.
+bool equals_upper(std::string_view text, std::string_view upper) {
+  if (text.size() != upper.size()) return false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if ((c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c) !=
+        upper[i])
+      return false;
   }
-  // Accept the common Verilog primitive spellings too.
-  if (upper == "INV") return GateType::kNot;
-  if (upper == "BUFF") return GateType::kBuf;
+  return true;
+}
+
+}  // namespace
+
+std::optional<GateType> gate_type_from_name(std::string_view name) {
+  // Dispatch on the first letter, then compare the few mnemonics sharing
+  // it; no copy is made.  INV and BUFF are the common Verilog spellings.
+  if (name.empty()) return std::nullopt;
+  const auto is = [&](std::string_view upper) {
+    return equals_upper(name, upper);
+  };
+  switch (name[0]) {
+    case 'A': case 'a':
+      if (is("AND")) return GateType::kAnd;
+      break;
+    case 'B': case 'b':
+      if (is("BUF") || is("BUFF")) return GateType::kBuf;
+      break;
+    case 'C': case 'c':
+      if (is("CONST0")) return GateType::kConst0;
+      if (is("CONST1")) return GateType::kConst1;
+      break;
+    case 'D': case 'd':
+      if (is("DFF")) return GateType::kDff;
+      break;
+    case 'I': case 'i':
+      if (is("INV")) return GateType::kNot;
+      break;
+    case 'N': case 'n':
+      if (is("NAND")) return GateType::kNand;
+      if (is("NOR")) return GateType::kNor;
+      if (is("NOT")) return GateType::kNot;
+      break;
+    case 'O': case 'o':
+      if (is("OR")) return GateType::kOr;
+      break;
+    case 'X': case 'x':
+      if (is("XOR")) return GateType::kXor;
+      if (is("XNOR")) return GateType::kXnor;
+      break;
+    default:
+      break;
+  }
   return std::nullopt;
 }
 

@@ -1,36 +1,74 @@
 #include "netlist/netlist.h"
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <stdexcept>
 
 #include "common/contracts.h"
 
 namespace netrev::netlist {
 
+std::uint32_t Netlist::name_hash(std::string_view name) {
+  const std::uint64_t h = std::hash<std::string_view>{}(name);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::size_t Netlist::find_slot(std::string_view name,
+                               std::uint32_t hash) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const NameSlot& slot = name_slots_[i];
+    if (!slot.id.is_valid()) return i;
+    if (slot.tag == hash && nets_[slot.id.value()].name == name) return i;
+  }
+}
+
+void Netlist::reserve_names(std::size_t nets) {
+  const std::size_t size =
+      std::bit_ceil(std::max<std::size_t>(16, nets + nets / 2 + 1));
+  if (size <= name_slots_.size()) return;
+  std::vector<NameSlot> old(size);
+  old.swap(name_slots_);
+  // Names are unique, so rehashing only moves ids to their new first free
+  // slot, by tag; no name is compared.
+  const std::size_t mask = size - 1;
+  for (const NameSlot& slot : old) {
+    if (!slot.id.is_valid()) continue;
+    std::size_t i = slot.tag & mask;
+    while (name_slots_[i].id.is_valid()) i = (i + 1) & mask;
+    name_slots_[i] = slot;
+  }
+}
+
 NetId Netlist::add_net(std::string_view name) {
-  if (name.empty()) throw std::invalid_argument("net name must not be empty");
-  if (net_by_name_.contains(name))
+  const std::size_t before = nets_.size();
+  const NetId id = find_or_add_net(name);
+  if (nets_.size() == before)
     throw std::invalid_argument("duplicate net name: " + std::string(name));
-  return append_net(name);
+  return id;
 }
 
 NetId Netlist::find_or_add_net(std::string_view name) {
-  if (auto existing = find_net(name)) return *existing;
-  if (name.empty()) throw std::invalid_argument("net name must not be empty");
-  return append_net(name);
+  return find_or_add_net(name, name_hash(name));
 }
 
-NetId Netlist::append_net(std::string_view name) {
+NetId Netlist::find_or_add_net(std::string_view name, std::uint32_t hash) {
+  reserve_names(nets_.size() + 1);
+  NameSlot& slot = name_slots_[find_slot(name, hash)];
+  if (slot.id.is_valid()) return slot.id;
+  if (name.empty()) throw std::invalid_argument("net name must not be empty");
   const NetId id(static_cast<std::uint32_t>(nets_.size()));
   Net net;
   net.name = name;
   nets_.push_back(std::move(net));
-  net_by_name_.emplace(name, id);
+  slot = {id, hash};
   return id;
 }
 
 void Netlist::reserve(std::size_t nets, std::size_t gates) {
   nets_.reserve(nets);
-  net_by_name_.reserve(nets);
+  reserve_names(nets);
   gates_.reserve(gates);
 }
 
@@ -100,9 +138,10 @@ std::vector<GateId> Netlist::gates_in_file_order() const {
 }
 
 std::optional<NetId> Netlist::find_net(std::string_view name) const {
-  const auto it = net_by_name_.find(name);
-  if (it == net_by_name_.end()) return std::nullopt;
-  return it->second;
+  if (name_slots_.empty()) return std::nullopt;
+  const NameSlot& slot = name_slots_[find_slot(name, name_hash(name))];
+  if (!slot.id.is_valid()) return std::nullopt;
+  return slot.id;
 }
 
 std::optional<GateId> Netlist::driver_of(NetId id) const {

@@ -13,7 +13,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strong_id.h"
@@ -56,6 +55,26 @@ class Netlist {
 
   // Returns the existing net with this name or creates it.
   NetId find_or_add_net(std::string_view name);
+  // The same, with `hash` == name_hash(name) computed by the caller (a
+  // loader hashes names in parallel and interns them serially).
+  NetId find_or_add_net(std::string_view name, std::uint32_t hash);
+
+  // The hash the name table files `name` under.
+  static std::uint32_t name_hash(std::string_view name);
+
+  // Memory hints for a loader that knows the names it interns next: it
+  // prefetches a name's home slot some names ahead, then the net that slot
+  // holds, so the lookup itself rarely waits on memory.  They change
+  // nothing.
+  void prefetch_slot(std::uint32_t hash) const {
+    if (!name_slots_.empty())
+      __builtin_prefetch(&name_slots_[hash & (name_slots_.size() - 1)]);
+  }
+  void prefetch_net(std::uint32_t hash) const {
+    if (name_slots_.empty()) return;
+    const NameSlot& slot = name_slots_[hash & (name_slots_.size() - 1)];
+    if (slot.id.is_valid()) __builtin_prefetch(&nets_[slot.id.value()]);
+  }
 
   // Pre-sizes storage for this many nets and gates (a loader that has
   // counted its lines calls this once, before adding anything).
@@ -105,22 +124,25 @@ class Netlist {
   std::size_t combinational_gate_count() const;
 
  private:
-  // Transparent hashing: lookups by string_view build no std::string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view name) const noexcept {
-      return std::hash<std::string_view>{}(name);
-    }
+  // One slot of the name table: a net id (invalid => empty) and the
+  // name's hash as a tag, so a probe compares a name only on a tag match.
+  struct NameSlot {
+    NetId id;
+    std::uint32_t tag = 0;
   };
 
-  // Appends a net known not to exist yet.
-  NetId append_net(std::string_view name);
+  // Index of the slot holding `name`, or of the empty slot ending its probe
+  // sequence.  The table must not be empty.
+  std::size_t find_slot(std::string_view name, std::uint32_t hash) const;
+  // Grows the table so that `nets` names keep it under two-thirds full.
+  void reserve_names(std::size_t nets);
 
   std::string name_;
   std::vector<Net> nets_;
   std::vector<Gate> gates_;
-  std::unordered_map<std::string, NetId, NameHash, std::equal_to<>>
-      net_by_name_;
+  // Open-addressing name table (linear probing, power-of-two size).  Keys
+  // are nets_[id].name, so each name is stored once.
+  std::vector<NameSlot> name_slots_;
 };
 
 }  // namespace netrev::netlist

@@ -31,10 +31,25 @@ netlist::Netlist parse_bench(std::string_view source);
 // Configurable parse.  With options.permissive, malformed lines are skipped
 // with a diagnostic and parsing continues; the recovered netlist may contain
 // dangling nets (run netlist::repair() before using it).  Duplicate drivers
-// are resolved keep-first with a warning.
+// are resolved keep-first with a warning.  Inputs of 4 MiB or more are
+// tokenised on the global thread pool; the result does not depend on it.
 netlist::Netlist parse_bench(std::string_view source,
                              const ParseOptions& options,
                              diag::Diagnostics& diags);
+
+namespace detail {
+
+// parse_bench with the chunk size chosen by the caller: the source is split
+// into line-aligned chunks of about `chunk_bytes`, tokenised on the global
+// pool and interned serially in file order.  The netlist and diagnostics
+// are the same at any chunk size; parse_bench picks the size from the
+// input's.  Exposed so that tests can force many small chunks.
+netlist::Netlist parse_bench_chunked(std::string_view source,
+                                     const ParseOptions& options,
+                                     diag::Diagnostics& diags,
+                                     std::size_t chunk_bytes);
+
+}  // namespace detail
 
 std::string write_bench(const netlist::Netlist& nl);
 void write_bench_file(const netlist::Netlist& nl, const std::string& path);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "analysis/analyzer.h"
@@ -45,6 +45,25 @@ void replay(const diag::Diagnostics& from, diag::Diagnostics& to) {
   if (&from == &to) return;
   for (const diag::Diagnostic& entry : from.entries())
     to.report(entry.severity, entry.message, entry.location);
+}
+
+// The rest of `in` as one string.  A regular file is read straight into a
+// buffer sized from its length, so the text is held once; whatever the size
+// does not cover (a growing file, a pipe) is appended after.
+std::string read_all(std::ifstream& in) {
+  std::string text;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (size > 0 && in) {
+    text.resize(static_cast<std::size_t>(size));
+    in.read(text.data(), size);
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  in.clear();
+  text.append(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  return text;
 }
 
 }  // namespace
@@ -90,10 +109,11 @@ exec::Checkpoint Session::analysis_checkpoint() const {
 
 LoadedDesign Session::design_from(const std::string& spec,
                                   std::shared_ptr<const netlist::Netlist> nl,
-                                  bool from_family, bool from_file) const {
+                                  std::uint64_t identity, bool from_family,
+                                  bool from_file) const {
   LoadedDesign design;
   design.spec = spec;
-  design.identity = pipeline::netlist_fingerprint(*nl);
+  design.identity = identity;
   design.netlist = std::move(nl);
   design.from_family = from_family;
   design.from_file = from_file;
@@ -114,7 +134,7 @@ std::shared_ptr<const Session::ParsedArtifact> Session::parse_artifact(
     });
   }
 
-  std::ifstream in(spec);
+  std::ifstream in(spec, std::ios::binary);
   if (!in) {
     if (!options.permissive)
       throw std::runtime_error("cannot open file: " + spec);
@@ -125,9 +145,7 @@ std::shared_ptr<const Session::ParsedArtifact> Session::parse_artifact(
     artifact->diags.fatal("cannot open file: " + spec, {spec, 0, 0});
     return artifact;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string source = buffer.str();
+  const std::string source = read_all(in);
 
   parser::ParseOptions parse_options = options;
   parse_options.filename = spec;
@@ -165,9 +183,8 @@ LoadedDesign Session::load_netlist(const std::string& spec,
   if (family || !options.permissive) {
     // Strict parses either succeeded identically or threw above.
     std::shared_ptr<const netlist::Netlist> nl(parsed, &parsed->netlist);
-    LoadedDesign design = design_from(spec, std::move(nl), family, !family);
-    design.identity = parsed->identity;
-    return design;
+    return design_from(spec, std::move(nl), parsed->identity, family,
+                       !family);
   }
 
   if (!parsed->diags.usable()) {
@@ -214,9 +231,7 @@ LoadedDesign Session::load_netlist(const std::string& spec,
                              std::to_string(loaded->validation_errors) +
                              " error(s)) even after repair");
   std::shared_ptr<const netlist::Netlist> nl(loaded, &loaded->netlist);
-  LoadedDesign design = design_from(spec, std::move(nl), false, true);
-  design.identity = loaded->identity;
-  return design;
+  return design_from(spec, std::move(nl), loaded->identity, false, true);
 }
 
 LoadedDesign Session::adopt_netlist(netlist::Netlist nl) {
@@ -225,7 +240,9 @@ LoadedDesign Session::adopt_netlist(netlist::Netlist nl) {
   // unspecified, so calling owned->name() in the same argument list could
   // dereference the already-moved-from pointer.
   std::string spec = owned->name();
-  return design_from(std::move(spec), std::move(owned), false, false);
+  const std::uint64_t identity = pipeline::netlist_fingerprint(*owned);
+  return design_from(std::move(spec), std::move(owned), identity, false,
+                     false);
 }
 
 Session::Parsed Session::parse_netlist(const std::string& spec,
@@ -240,8 +257,8 @@ Session::Parsed Session::parse_netlist(const std::string& spec,
                              " (fatal diagnostics; see --diag-json)");
   Parsed result;
   std::shared_ptr<const netlist::Netlist> nl(parsed, &parsed->netlist);
-  result.design = design_from(spec, std::move(nl), family, !family);
-  result.design.identity = parsed->identity;
+  result.design =
+      design_from(spec, std::move(nl), parsed->identity, family, !family);
   result.parse_diags =
       std::shared_ptr<const diag::Diagnostics>(parsed, &parsed->diags);
   return result;

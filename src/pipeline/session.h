@@ -185,7 +185,8 @@ class Session {
       std::size_t max_errors);
   LoadedDesign design_from(const std::string& spec,
                            std::shared_ptr<const netlist::Netlist> nl,
-                           bool from_family, bool from_file) const;
+                           std::uint64_t identity, bool from_family,
+                           bool from_file) const;
 
   RunConfig config_;
   pipeline::ArtifactCache* cache_;

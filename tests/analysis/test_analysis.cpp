@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "analysis/scc.h"
+#include "parser/bench_parser.h"
 
 namespace netrev::analysis {
 namespace {
@@ -270,6 +271,15 @@ TEST(DegenerateGateRule, FlagsSelfReadingGateOnce) {
   ASSERT_EQ(result.findings.size(), 1u);
   EXPECT_NE(result.findings[0].message.find("reads its own output"),
             std::string::npos);
+}
+
+TEST(DegenerateGateRule, LeavesFlopSelfLoopsToDffSelfLoop) {
+  const Netlist nl = parser::parse_bench(
+      "INPUT(a)\nOUTPUT(y)\nq = DFF(q)\ny = AND(a, q)\n");
+  EXPECT_TRUE(run_rule(nl, "degenerate-gate").findings.empty());
+  const std::vector<std::string> ids = rules_hit(analyze(nl));
+  EXPECT_EQ(std::find(ids.begin(), ids.end(), "degenerate-gate"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "dff-self-loop"), ids.end());
 }
 
 // --- high-fanout -----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -34,6 +37,36 @@ TEST(GateTypeNames, AcceptsVerilogSpellings) {
 TEST(GateTypeNames, RejectsUnknown) {
   EXPECT_EQ(gate_type_from_name("AOI21"), std::nullopt);
   EXPECT_EQ(gate_type_from_name(""), std::nullopt);
+}
+
+TEST(GateTypeNames, EveryCaseSpellingOfEveryMnemonicParses) {
+  // Each letter of each mnemonic independently lower- or upper-case.
+  const std::pair<std::string, GateType> mnemonics[] = {
+      {"BUF", GateType::kBuf},       {"BUFF", GateType::kBuf},
+      {"NOT", GateType::kNot},       {"INV", GateType::kNot},
+      {"AND", GateType::kAnd},       {"NAND", GateType::kNand},
+      {"OR", GateType::kOr},         {"NOR", GateType::kNor},
+      {"XOR", GateType::kXor},       {"XNOR", GateType::kXnor},
+      {"DFF", GateType::kDff},       {"CONST0", GateType::kConst0},
+      {"CONST1", GateType::kConst1},
+  };
+  for (const auto& [upper, type] : mnemonics) {
+    for (unsigned mask = 0; mask < (1u << upper.size()); ++mask) {
+      std::string spelling = upper;
+      for (std::size_t i = 0; i < spelling.size(); ++i)
+        if ((mask >> i) & 1u)
+          spelling[i] = static_cast<char>(
+              std::tolower(static_cast<unsigned char>(spelling[i])));
+      EXPECT_EQ(gate_type_from_name(spelling), type) << spelling;
+    }
+  }
+}
+
+TEST(GateTypeNames, RejectsNearMisses) {
+  for (const char* name : {"AN", "ANDD", "NAN", "NANDS", "O", "ORR", "CONST",
+                           "CONST2", "DF", "BU", "BUFFF", "XNO", "IN", "VDD",
+                           "GND", "A ND", " AND", "AND "})
+    EXPECT_EQ(gate_type_from_name(name), std::nullopt) << name;
 }
 
 TEST(GateTypeCodes, AreUniqueAcrossTypes) {

@@ -5,12 +5,16 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "common/thread_pool.h"
+#include "exec/cancel.h"
 #include "itc/family.h"
 #include "netlist/validate.h"
 #include "parser/lexer.h"
 #include "pipeline/fingerprint.h"
 #include "pipeline/session.h"
+#include "support/corrupt.h"
 
 namespace netrev::parser {
 namespace {
@@ -275,6 +279,157 @@ TEST(BenchParser, FinalNewlineEndsOneMoreLine) {
   (void)parse_bench("INPUT(a)\nINPUT(b)", options, without_newline);
   ASSERT_FALSE(without_newline.entries().empty());
   EXPECT_EQ(without_newline.entries().back().location.line, 2u);
+}
+
+TEST(BenchParser, SpentErrorBudgetNotesTheNextLineIfThereIsOne) {
+  ParseOptions options;
+  options.permissive = true;
+  diag::Diagnostics last_line(2);
+  (void)parse_bench("a = (\nb = (", options, last_line);
+  EXPECT_EQ(last_line.error_count(), 2u);
+  EXPECT_EQ(last_line.note_count(), 0u);
+  diag::Diagnostics before_last(2);
+  (void)parse_bench("a = (\nb = (\nc = NOT(a)\n", options, before_last);
+  EXPECT_EQ(before_last.error_count(), 2u);
+  ASSERT_EQ(before_last.note_count(), 1u);
+  EXPECT_EQ(before_last.entries().back().location.line, 3u);
+}
+
+// --- chunked tokenising -----------------------------------------------------
+
+// Sets the global pool's size for one scope.
+class PoolJobs {
+ public:
+  explicit PoolJobs(std::size_t jobs) { ThreadPool::set_global_jobs(jobs); }
+  ~PoolJobs() { ThreadPool::set_global_jobs(0); }
+  PoolJobs(const PoolJobs&) = delete;
+  PoolJobs& operator=(const PoolJobs&) = delete;
+};
+
+// What a parse yields, as comparable text: the netlist fingerprint or the
+// error thrown, then every diagnostic.  `chunk_bytes` == the source size
+// parses it as one chunk on the calling thread.
+std::string parse_outcome(const std::string& source, bool permissive,
+                          std::size_t max_errors, std::size_t chunk_bytes) {
+  diag::Diagnostics diags(max_errors);
+  ParseOptions options;
+  options.permissive = permissive;
+  options.filename = "chunks.bench";
+  std::string result;
+  try {
+    result = std::to_string(pipeline::netlist_fingerprint(
+        detail::parse_bench_chunked(source, options, diags, chunk_bytes)));
+  } catch (const std::exception& err) {
+    result = std::string("threw: ") + err.what();
+  }
+  return result + "\n" + diags.to_json();
+}
+
+// The sources every chunk size must parse alike: 300 seeded single
+// corruptions, 30 with five stacked corruptions (many errors, so the error
+// budget cuts the input off mid-file), and line-ending edge cases.
+std::vector<std::string> chunk_corpus() {
+  std::vector<std::string> corpus;
+  for (const char* design : {"b03s", "b08s", "b13s"}) {
+    const std::string clean = family_bench(design);
+    for (const auto kind : testing::kAllCorruptionKinds)
+      for (std::uint64_t seed = 0; seed < 20; ++seed)
+        corpus.push_back(testing::corrupt(clean, kind, seed));
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      std::string damaged = clean;
+      for (std::uint64_t k = 0; k < 5; ++k)
+        damaged = testing::corrupt(
+            damaged, testing::kAllCorruptionKinds[(seed + k) % 5],
+            seed * 5 + k);
+      corpus.push_back(damaged);
+    }
+  }
+  const std::string clean = family_bench("b03s");
+  std::string crlf;
+  for (const char c : clean) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  corpus.push_back(crlf);
+  corpus.push_back(clean.substr(0, clean.size() - 1));  // no final newline
+  corpus.push_back(clean + "# a comment on the last line");
+  corpus.push_back(clean + "y = BAD(a)\n# comment\nz = (");
+  corpus.push_back("");
+  corpus.push_back("\n\n");
+  corpus.push_back("x = AND(a)\n=\ny = NOT(\nz = FOO(a)\nq = DFF(q)");
+  corpus.push_back("a = (\nb = (");  // the budget runs out on the last line
+  corpus.push_back("a = (\nb = (\n");
+  // Every INPUT is interned before every OUTPUT, wherever they appear.
+  corpus.push_back("OUTPUT(y)\nINPUT(a)\ny = NOT(a)\nOUTPUT(a)\nINPUT(b)\n");
+  return corpus;
+}
+
+TEST(BenchChunks, EveryChunkSizeParsesLikeOneChunk) {
+  // Chunks of one byte (a chunk per line) and of a few lines, merged in
+  // file order, give the same netlist, the same diagnostics and the same
+  // error as one chunk: strict, permissive, and permissive with an error
+  // budget small enough to cut the input off.
+  const std::vector<std::string> corpus = chunk_corpus();
+  ASSERT_GE(corpus.size(), 300u);
+  struct Mode {
+    bool permissive;
+    std::size_t max_errors;
+  };
+  const Mode modes[] = {{false, 64}, {true, 64}, {true, 2}};
+  std::vector<std::string> expected;
+  for (const std::string& source : corpus)
+    for (const Mode& mode : modes)
+      expected.push_back(parse_outcome(source, mode.permissive,
+                                       mode.max_errors, source.size()));
+  for (const std::size_t jobs : {1u, 4u}) {
+    PoolJobs pool(jobs);
+    for (const std::size_t chunk_bytes : {1u, 97u}) {
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < corpus.size(); ++i) {
+        for (const Mode& mode : modes) {
+          EXPECT_EQ(parse_outcome(corpus[i], mode.permissive, mode.max_errors,
+                                  chunk_bytes),
+                    expected[k])
+              << "source " << i << ", jobs " << jobs << ", chunk_bytes "
+              << chunk_bytes << ", permissive " << mode.permissive
+              << ", max_errors " << mode.max_errors;
+          ++k;
+        }
+      }
+    }
+  }
+}
+
+TEST(BenchChunks, LargeInputsParseLikeOneChunk) {
+  // Above its size floor parse_bench splits the input.  A long chain of
+  // gates whose arguments point both back and forward gets over it.
+  std::string source = "INPUT(in)\nOUTPUT(n0)\n";
+  for (int i = 0; i < 200'000; ++i)
+    source += "n" + std::to_string(i) + " = NAND(n" + std::to_string(i + 1) +
+              ", " + (i < 100 ? std::string("in") : "n" + std::to_string(i / 2)) +
+              ")  # gate\n";
+  source += "n200000 = NOT(in)\n";
+  ASSERT_GT(source.size(), std::size_t{4} << 20);
+  PoolJobs pool(4);
+  diag::Diagnostics diags;
+  EXPECT_EQ(pipeline::netlist_fingerprint(parse_bench(source)),
+            pipeline::netlist_fingerprint(detail::parse_bench_chunked(
+                source, ParseOptions{}, diags, source.size())));
+}
+
+TEST(BenchChunks, CancelledCheckpointAbortsTokenising) {
+  const std::string source = family_bench("b03s");
+  exec::CancelToken token;
+  token.request_cancel();
+  ParseOptions options;
+  options.checkpoint = exec::Checkpoint(token, exec::Deadline());
+  for (const std::size_t jobs : {1u, 4u}) {
+    PoolJobs pool(jobs);
+    for (const bool permissive : {false, true}) {
+      options.permissive = permissive;
+      diag::Diagnostics diags;
+      EXPECT_THROW(detail::parse_bench_chunked(source, options, diags, 64),
+                   exec::CancelledError);
+      EXPECT_TRUE(diags.empty());
+    }
+  }
 }
 
 }  // namespace
